@@ -9,6 +9,7 @@ reproducible randomized surveys.
 from .anumber import (
     ANumberReport,
     CoverDifferential,
+    InvariantViolation,
     KernelTuple,
     a_number_fast,
     a_number_oracle,
@@ -61,7 +62,7 @@ from .fppoly import (
     section,
     section_after_cartier,
 )
-from .linalg import FpMatrix, kernel_basis, mat_pow, rank_nullity
+from .linalg import FpMatrix, kernel_basis, rank_nullity
 
 __version__ = "0.1.0"
 
@@ -74,6 +75,7 @@ __all__ = [
     "FamilyCheck",
     "FpMatrix",
     "FpPoly",
+    "InvariantViolation",
     "KernelTuple",
     "PolyParseError",
     "RamificationData",
@@ -99,7 +101,6 @@ __all__ = [
     "lower_bound_p3",
     "lower_bound_p5_5n1",
     "lower_bound_single",
-    "mat_pow",
     "min_a_exhaustive",
     "min_a_random",
     "minimal_family",

@@ -7,8 +7,13 @@ spoil regularity; the a-number is the nullity of that obstruction matrix.
 Oracle path: expand the Cartier operator of the cover itself on the full
 monomial basis of regular differentials (rewriting powers of y through
 y^p = y + f) and take the kernel dimension there.  The paths share only the
-polynomial layer, so their agreement is a meaningful end-to-end check.  The
-oracle matrix also yields the p-rank as its stable rank.
+polynomial layer, so their agreement is a meaningful end-to-end check.
+
+The p-rank is 0, certified by strict triangularity: in the level-major basis
+the Cartier operator sends x^j y^i dx either to a lower level or, on level i,
+to exponent (j+1)/p - 1 < j, so its matrix is strictly upper triangular and
+hence nilpotent.  The matrix is checked for that shape, never assumed to have
+it.
 """
 
 import math
@@ -20,7 +25,11 @@ import numpy as np
 from .bounds import lower_bound_single
 from .curve import BasicCurve, domain_basis, level_exponents
 from .fppoly import Differential, FpPoly, cartier, section_after_cartier
-from .linalg import FpMatrix, _matmul_mod, _row_echelon_rank, rank_nullity
+from .linalg import FpMatrix, rank_nullity
+
+
+class InvariantViolation(AssertionError):
+    """A structural invariant of the computation failed: a bug, not bad input."""
 
 
 class KernelTuple:
@@ -250,7 +259,7 @@ def cartier_matrix(curve: BasicCurve) -> FpMatrix:
         level_off.append(total)
         total += max(curve.reg_bound[i] + 1, 0)
     if total != curve.genus:
-        raise AssertionError("regular basis size disagrees with the genus")
+        raise InvariantViolation("regular basis size disagrees with the genus")
     mat = np.zeros((total, total), dtype=np.int64)
     col = 0
     for i in range(p):
@@ -274,7 +283,7 @@ def cartier_matrix(curve: BasicCurve) -> FpMatrix:
                 vals = vals[keep]
                 exps = (j + offs + 1) // p - 1
                 if int(exps[-1]) > curve.reg_bound[t]:
-                    raise AssertionError("Cartier image left the regular span")
+                    raise InvariantViolation("Cartier image left the regular span")
                 rows = level_off[t] + exps
                 mat[rows, col] = (mat[rows, col] + scale * vals) % p
             col += 1
@@ -286,26 +295,29 @@ def a_number_oracle(curve: BasicCurve) -> int:
     return rank_nullity(cartier_matrix(curve))[1]
 
 
-def p_rank(curve: BasicCurve) -> int:
-    """Stable rank of the Cartier matrix, i.e. the rank of its genus-th power.
+def _certified_p_rank(m: FpMatrix) -> int:
+    """p-rank from a Cartier matrix: 0, certified by strict triangularity.
 
-    rank is nonincreasing under powers and frozen once it repeats, so squaring
-    with early exit gives the same value without computing the full power.
+    A strictly upper triangular matrix is nilpotent, so its stable rank is 0.
+    Raises InvariantViolation when an entry on or below the diagonal is
+    nonzero.
     """
-    m = cartier_matrix(curve)
-    if m.rows == 0:
-        return 0
-    b = m.a
-    r = _row_echelon_rank(b, curve.p)
-    e = 1
-    while r > 0 and e < curve.genus:
-        b = _matmul_mod(b, b, curve.p)
-        e *= 2
-        nxt = _row_echelon_rank(b, curve.p)
-        if nxt == r:
-            break
-        r = nxt
-    return r
+    below = np.argwhere(np.tril(m.a))
+    if below.size:
+        r, c = below[0]
+        raise InvariantViolation(
+            f"Cartier matrix entry ({r}, {c}) is nonzero on or below the diagonal"
+        )
+    return 0
+
+
+def p_rank(curve: BasicCurve) -> int:
+    """p-rank of the cover: 0, certified by strict triangularity.
+
+    Builds the Cartier matrix and checks that it is strictly upper triangular
+    in the level-major basis; raises InvariantViolation otherwise.
+    """
+    return _certified_p_rank(cartier_matrix(curve))
 
 
 @dataclass(frozen=True)
@@ -322,21 +334,27 @@ class ANumberReport:
 
 
 def report(curve: BasicCurve, method: str = "fast") -> ANumberReport:
-    """Assemble the a-number (by the requested method) and companions."""
+    """Assemble the a-number (by the requested method) and companions.
+
+    Raises InvariantViolation when a falls outside [L(d), genus] or the p-rank
+    certificate fails.
+    """
     if method == "fast":
         a = a_number_fast(curve)
+        cartier_m = cartier_matrix(curve)
     elif method == "oracle":
-        a = a_number_oracle(curve)
+        cartier_m = cartier_matrix(curve)
+        a = rank_nullity(cartier_m)[1]
     else:
         raise ValueError(f"unknown method {method!r}; expected 'fast' or 'oracle'")
     bound = lower_bound_single(curve.p, curve.d)
     if not bound <= a <= curve.genus:
-        raise AssertionError(f"a = {a} outside [{bound}, {curve.genus}]")
+        raise InvariantViolation(f"a = {a} outside [{bound}, {curve.genus}]")
     return ANumberReport(
         a=a,
         method=method,
         genus=curve.genus,
-        p_rank=p_rank(curve),
+        p_rank=_certified_p_rank(cartier_m),
         lower_bound=bound,
         dim_domain=curve.dim_domain,
         dim_obstruction=curve.dim_obstruction,

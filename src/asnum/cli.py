@@ -4,13 +4,17 @@ Subcommands: bound, anumber, family, experiment, search.  Text output is
 stable and line-oriented; experiment results can also be written as CSV or
 JSON (see experiments module for the schemas).  Worker count for experiment
 and random search defaults to the ASNUM_THREADS environment variable.
+
+Exit codes: 0 on success; 1 for bad input, a failed family check or a
+disagreement between the two a-number methods; 3 when an internal invariant
+of the computation is violated (a bug, reported as "invariant violated: ...").
 """
 
 import argparse
 import os
 import sys
 
-from .anumber import a_number_fast, a_number_oracle, p_rank
+from .anumber import InvariantViolation, report
 from .bounds import RamificationData, lower_bound, lower_bound_single
 from .curve import BasicCurve
 from .experiments import (
@@ -53,21 +57,20 @@ def cmd_bound(args) -> int:
 def cmd_anumber(args) -> int:
     f = _parse_f(args)
     curve = BasicCurve.from_poly(args.p, f)
+    methods = ("fast", "oracle") if args.method == "both" else (args.method,)
+    reports = [report(curve, method) for method in methods]
+    first = reports[0]
     print(f"f = {curve.f}")
     print(f"d = {curve.d}")
-    print(f"genus = {curve.genus}")
-    print(f"lower bound = {lower_bound_single(args.p, curve.d)}")
-    print(f"kernel candidates dim = {curve.dim_domain}")
-    print(f"obstruction slots = {curve.dim_obstruction}")
-    fast = oracle = None
-    if args.method in ("fast", "both"):
-        fast = a_number_fast(curve)
-        print(f"a-number (fast) = {fast}")
-    if args.method in ("oracle", "both"):
-        oracle = a_number_oracle(curve)
-        print(f"a-number (oracle) = {oracle}")
-    print(f"p-rank = {p_rank(curve)}")
+    print(f"genus = {first.genus}")
+    print(f"lower bound = {first.lower_bound}")
+    print(f"kernel candidates dim = {first.dim_domain}")
+    print(f"obstruction slots = {first.dim_obstruction}")
+    for rep in reports:
+        print(f"a-number ({rep.method}) = {rep.a}")
+    print(f"p-rank = {first.p_rank}")
     if args.method == "both":
+        fast, oracle = (rep.a for rep in reports)
         if fast != oracle:
             print(f"METHOD DISAGREEMENT: fast={fast} oracle={oracle}", file=sys.stderr)
             return 1
@@ -226,6 +229,9 @@ def main(argv=None) -> int:
     except SearchSpaceError as exc:
         print(f"search space too large: {exc}", file=sys.stderr)
         return 1
+    except InvariantViolation as exc:
+        print(f"invariant violated: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,8 +2,7 @@
 
 Plain Gaussian elimination with first-nonzero pivoting; the matrices in this
 package stay at most a few thousand square, so exactness and simplicity win
-over asymptotics.  All mod-p reductions are on integers, never floats, except
-for a float64 matmul fast path whose intermediates provably stay below 2**53.
+over asymptotics.  All mod-p reductions are on integers, never floats.
 """
 
 import numpy as np
@@ -51,15 +50,6 @@ class FpMatrix:
 
     def __repr__(self):
         return f"FpMatrix(p={self.p}, shape={self.a.shape})"
-
-
-def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    # Row-by-column sums are < p^2 * inner_dim < 2**53 for the sizes used
-    # here, so the BLAS float64 path is exact; small cases stay on int64.
-    if x.shape[1] >= 64:
-        z = x.astype(np.float64) @ y.astype(np.float64)
-        return np.mod(z, p).astype(np.int64)
-    return (x @ y) % p
 
 
 def _row_echelon_rank(a: np.ndarray, p: int) -> int:
@@ -133,18 +123,3 @@ def kernel_basis(m: FpMatrix) -> list[np.ndarray]:
         basis.append(v)
     return basis
 
-
-def mat_pow(m: FpMatrix, e: int) -> FpMatrix:
-    """m**e by repeated squaring; m**0 is the identity."""
-    if m.rows != m.cols:
-        raise ValueError("matrix power requires a square matrix")
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
-    result = np.eye(m.rows, dtype=np.int64)
-    base = m.a
-    while e:
-        if e & 1:
-            result = _matmul_mod(result, base, m.p)
-        base = _matmul_mod(base, base, m.p)
-        e >>= 1
-    return FpMatrix(m.p, result)

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+import asnum.anumber
 from asnum.anumber import (
     ANumberReport,
     CoverDifferential,
+    InvariantViolation,
     KernelTuple,
+    _certified_p_rank,
     a_number_fast,
     a_number_oracle,
     cartier_matrix,
@@ -19,7 +22,7 @@ from asnum.anumber import (
 )
 from asnum.curve import BasicCurve, domain_basis
 from asnum.fppoly import Differential, FpPoly, cartier, parse_poly, section_after_cartier
-from asnum.linalg import rank_nullity
+from asnum.linalg import FpMatrix, rank_nullity
 from asnum.experiments import sample_poly
 
 
@@ -242,6 +245,58 @@ class TestANumbers:
                 c = random_curve(p, d, rng)
                 a = a_number_fast(c)
                 assert lower_bound_single(p, d) <= a <= c.genus
+
+
+def brute_force_stable_rank(m: FpMatrix) -> int:
+    """rank of m^g over F_p by plain int64 powers; shares no code with p_rank."""
+    g = m.rows
+    power = np.eye(g, dtype=np.int64)
+    ranks = []
+    for _ in range(g):
+        power = (power @ m.a) % m.p
+        ranks.append(rank_nullity(FpMatrix(m.p, power))[0])
+    assert all(a >= b for a, b in zip(ranks, ranks[1:]))
+    return ranks[-1] if ranks else 0
+
+
+class TestPRankCertificate:
+    def test_matches_brute_force_stable_rank(self):
+        rng = np.random.default_rng(59)
+        for p in (3, 5, 7):
+            for _ in range(6):
+                d = int(rng.integers(1, 31))
+                if d % p == 0:
+                    continue
+                c = random_curve(p, d, rng)
+                m = cartier_matrix(c)
+                assert brute_force_stable_rank(m) == _certified_p_rank(m) == 0, (p, d)
+                assert p_rank(c) == 0
+
+    def test_accepts_strictly_upper_triangular(self):
+        assert _certified_p_rank(FpMatrix(3, [[0, 1, 2], [0, 0, 1], [0, 0, 0]])) == 0
+        assert _certified_p_rank(FpMatrix.zeros(5, 0, 0)) == 0
+
+    @pytest.mark.parametrize("entries", [[[0, 1], [1, 0]], [[0, 0], [0, 2]], [[0, 0], [4, 0]]])
+    def test_rejects_entry_on_or_below_diagonal(self, entries):
+        with pytest.raises(InvariantViolation):
+            _certified_p_rank(FpMatrix(5, entries))
+
+    def test_p_rank_and_report_raise_on_bad_cartier_matrix(self, monkeypatch):
+        # the transpose keeps the rank, so only the certificate can object
+        c = make(5, "x^11+x^8")
+        transposed = FpMatrix(5, cartier_matrix(c).a.T)
+        monkeypatch.setattr(asnum.anumber, "cartier_matrix", lambda curve: transposed)
+        with pytest.raises(InvariantViolation, match="diagonal"):
+            p_rank(c)
+        for method in ("fast", "oracle"):
+            with pytest.raises(InvariantViolation, match="diagonal"):
+                report(c, method=method)
+
+    def test_report_rejects_a_outside_bound(self, monkeypatch):
+        c = make(5, "x^11+x^8")
+        monkeypatch.setattr(asnum.anumber, "a_number_fast", lambda curve: curve.genus + 1)
+        with pytest.raises(InvariantViolation):
+            report(c)
 
 
 class TestReport:

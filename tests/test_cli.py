@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import asnum.cli
+from asnum.anumber import InvariantViolation
 from asnum.cli import main
 from asnum.experiments import Distribution
 
@@ -74,6 +76,15 @@ class TestAnumber:
         code, _, err = run(capsys, "anumber", "--p", "3", "--f", "x^3-x")
         assert code != 0
         assert "split" in err
+
+    def test_invariant_violation_exits_3(self, capsys, monkeypatch):
+        def broken(curve, method="fast"):
+            raise InvariantViolation("a = 9 outside [1, 1]")
+
+        monkeypatch.setattr(asnum.cli, "report", broken)
+        code, _, err = run(capsys, "anumber", "--p", "3", "--f", "x^2")
+        assert code == 3
+        assert "invariant violated: a = 9 outside [1, 1]" in err
 
 
 class TestFamily:

@@ -1,9 +1,9 @@
-"""Exact F_p linear algebra: rank, nullity, kernels, matrix powers."""
+"""Exact F_p linear algebra: rank, nullity, kernels."""
 
 import numpy as np
 import pytest
 
-from asnum.linalg import FpMatrix, kernel_basis, mat_pow, rank_nullity
+from asnum.linalg import FpMatrix, kernel_basis, rank_nullity
 
 
 def test_rank_nullity_examples():
@@ -52,57 +52,10 @@ def test_rank_equals_rank_of_transpose():
             assert rank_nullity(FpMatrix(p, m))[0] == rank_nullity(FpMatrix(p, m.T))[0]
 
 
-def test_mat_pow_examples():
-    eye = FpMatrix.identity(3, 4)
-    assert mat_pow(eye, 7) == eye
-    m = FpMatrix(3, [[1, 2], [2, 2]])
-    assert mat_pow(m, 0) == FpMatrix.identity(3, 2)
-    nil = FpMatrix(3, [[0, 1], [0, 0]])
-    assert mat_pow(nil, 2) == FpMatrix.zeros(3, 2, 2)
-
-
-def test_mat_pow_matches_repeated_multiplication():
-    rng = np.random.default_rng(3)
-    for p in (3, 7):
-        m = FpMatrix(p, rng.integers(0, p, size=(5, 5)))
-        acc = np.eye(5, dtype=np.int64)
-        for e in range(6):
-            assert np.array_equal(mat_pow(m, e).a, acc)
-            acc = (acc @ m.a) % p
-
-
-def test_mat_pow_rejects_non_square():
-    with pytest.raises(ValueError):
-        mat_pow(FpMatrix.zeros(3, 2, 3), 2)
-
-
-def test_power_ranks_decrease_and_stabilize():
-    rng = np.random.default_rng(19)
-    for p in (2, 5):
-        for _ in range(10):
-            n = int(rng.integers(1, 8))
-            m = FpMatrix(p, rng.integers(0, p, size=(n, n)))
-            ranks = [rank_nullity(mat_pow(m, e))[0] for e in range(1, n + 2)]
-            assert all(a >= b for a, b in zip(ranks, ranks[1:]))
-            assert ranks[-1] == ranks[-2]  # stabilized by e = n
-
-
-def test_large_matmul_path_is_exact():
-    # exercise the float64 fast path (inner dimension >= 64) against int64
-    rng = np.random.default_rng(23)
-    p = 13
-    a = FpMatrix(p, rng.integers(0, p, size=(70, 70)))
-    direct = a.a
-    for _ in range(2):
-        direct = (direct @ a.a) % p
-    assert np.array_equal(mat_pow(a, 3).a, direct)
-
-
 def test_empty_matrix_edges():
     assert rank_nullity(FpMatrix.zeros(5, 0, 3)) == (0, 3)
     assert rank_nullity(FpMatrix.zeros(5, 3, 0)) == (0, 0)
     assert len(kernel_basis(FpMatrix.zeros(5, 0, 2))) == 2
-    assert mat_pow(FpMatrix.zeros(5, 0, 0), 4).rows == 0
 
 
 def test_validation():
