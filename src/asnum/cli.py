@@ -2,8 +2,8 @@
 
 Subcommands: bound, anumber, family, experiment, search.  Text output is
 stable and line-oriented; experiment results can also be written as CSV or
-JSON (see experiments module for the schemas).  Worker count for experiment
-and random search defaults to the ASNUM_THREADS environment variable.
+JSON (see experiments module for the schemas).  The worker count of
+experiment defaults to the ASNUM_THREADS environment variable.
 
 Exit codes: 0 on success; 1 for bad input, a failed family check or a
 disagreement between the two a-number methods; 3 when an internal invariant
@@ -94,6 +94,9 @@ def cmd_family(args) -> int:
             print("ok" if check.ok else "MISMATCH")
             return 0 if check.ok else 1
         return 0
+    if args.dmax < 1:
+        print(f"error: --dmax must be at least 1, not {args.dmax}", file=sys.stderr)
+        return 1
     failures = []
     total = 0
     for d in range(1, args.dmax + 1):

@@ -13,6 +13,7 @@ distributed over worker processes.
 
 import itertools
 import json
+import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -148,8 +149,11 @@ class Distribution:
             if line == "a,count":
                 header_seen = True
                 continue
-            a, _, c = line.partition(",")
-            counts[int(a)] = int(c)
+            a_text, _, c = line.partition(",")
+            a = int(a_text)
+            if a in counts:
+                raise ValueError(f"duplicate row for a = {a}")
+            counts[a] = int(c)
         if not header_seen:
             raise ValueError("missing a,count header")
         return cls(
@@ -162,13 +166,33 @@ class Distribution:
         )
 
 
+def _random_polys(p: int, d: int, seed: int, lo: int, hi: int):
+    """The seeded samples with indices lo <= index < hi, in index order."""
+    for index in range(lo, hi):
+        yield sample_poly(p, d, _rng_for(seed, index))
+
+
+def _all_polys(p: int, d: int):
+    """Every normalized degree-d polynomial, by leading coefficient, then free slots in order."""
+    free = free_exponents(p, d)
+    for lead in range(1, p):
+        for tail in itertools.product(range(p), repeat=len(free)):
+            coeffs = [0] * (d + 1)
+            coeffs[d] = lead
+            for e, c in zip(free, tail):
+                coeffs[e] = c
+            yield FpPoly(p, coeffs)
+
+
+def _a_numbers(p: int, polys):
+    """The survey engine: (f, a-number of y^p - y = f) for each candidate f."""
+    for f in polys:
+        yield f, a_number_fast(BasicCurve.from_poly(p, f))
+
+
 def _tally_range(args) -> Counter:
     p, d, seed, lo, hi = args
-    counts: Counter = Counter()
-    for index in range(lo, hi):
-        f = sample_poly(p, d, _rng_for(seed, index))
-        counts[a_number_fast(BasicCurve.from_poly(p, f))] += 1
-    return counts
+    return Counter(a for _, a in _a_numbers(p, _random_polys(p, d, seed, lo, hi)))
 
 
 def distribution(
@@ -177,7 +201,8 @@ def distribution(
     """Tally a-numbers of n_samples random covers.
 
     The result depends only on (p, d, n_samples, seed); worker count affects
-    speed only.
+    speed only.  At most min(threads, CPU count, n_samples) worker processes
+    are started.
     """
     _check_degree(p, d)
     if n_samples < 1:
@@ -185,6 +210,7 @@ def distribution(
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     start = time.perf_counter()
+    threads = min(threads, os.cpu_count() or 1, n_samples)
     if threads <= 1:
         counts = _tally_range((p, d, seed, 0, n_samples))
     else:
@@ -220,6 +246,20 @@ class SearchResult:
     candidates_tested: int
 
 
+def _search(p: int, d: int, polys, exhaustive: bool) -> SearchResult:
+    """Minimum a-number over the candidates; the first to attain it is the witness."""
+    best_a = None
+    witness = None
+    tested = 0
+    for f, a in _a_numbers(p, polys):
+        tested += 1
+        if best_a is None or a < best_a:
+            best_a, witness = a, f
+    return SearchResult(
+        p=p, d=d, min_a=best_a, witness=witness, exhaustive=exhaustive, candidates_tested=tested
+    )
+
+
 def min_a_exhaustive(p: int, d: int, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> SearchResult:
     """Minimum a-number over every normalized polynomial of degree d.
 
@@ -232,24 +272,7 @@ def min_a_exhaustive(p: int, d: int, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> Searc
             f"search space has {total} candidates, above the cap of {cap}; "
             f"use min_a_random instead"
         )
-    free = free_exponents(p, d)
-    best_a = None
-    witness = None
-    tested = 0
-    for lead in range(1, p):
-        for tail in itertools.product(range(p), repeat=len(free)):
-            coeffs = [0] * (d + 1)
-            coeffs[d] = lead
-            for e, c in zip(free, tail):
-                coeffs[e] = c
-            f = FpPoly(p, coeffs)
-            a = a_number_fast(BasicCurve.from_poly(p, f))
-            tested += 1
-            if best_a is None or a < best_a:
-                best_a, witness = a, f
-    return SearchResult(
-        p=p, d=d, min_a=best_a, witness=witness, exhaustive=True, candidates_tested=tested
-    )
+    return _search(p, d, _all_polys(p, d), exhaustive=True)
 
 
 def min_a_random(p: int, d: int, n_samples: int, seed: int) -> SearchResult:
@@ -257,18 +280,4 @@ def min_a_random(p: int, d: int, n_samples: int, seed: int) -> SearchResult:
     _check_degree(p, d)
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    best_a = None
-    witness = None
-    for index in range(n_samples):
-        f = sample_poly(p, d, _rng_for(seed, index))
-        a = a_number_fast(BasicCurve.from_poly(p, f))
-        if best_a is None or a < best_a:
-            best_a, witness = a, f
-    return SearchResult(
-        p=p,
-        d=d,
-        min_a=best_a,
-        witness=witness,
-        exhaustive=False,
-        candidates_tested=n_samples,
-    )
+    return _search(p, d, _random_polys(p, d, seed, 0, n_samples), exhaustive=False)

@@ -247,9 +247,6 @@ class Differential:
     def scale(self, c: int) -> "Differential":
         return Differential(self.h * c)
 
-    def mul_poly(self, g: FpPoly) -> "Differential":
-        return Differential(self.h * g)
-
     def __str__(self):
         return f"({self.h}) dx"
 

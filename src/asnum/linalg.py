@@ -1,8 +1,10 @@
 """Exact dense linear algebra over F_p, backed by numpy int64 arrays.
 
-Plain Gaussian elimination with first-nonzero pivoting; the matrices in this
-package stay at most a few thousand square, so exactness and simplicity win
-over asymptotics.  All mod-p reductions are on integers, never floats.
+One forward Gaussian elimination with first-nonzero pivoting serves both
+the rank (its pivot count) and the kernel (back-substitution on its
+row-echelon form).  The matrices in this package stay at most a few thousand
+square, so exactness and simplicity win over asymptotics.  All mod-p
+reductions are on integers, never floats.
 """
 
 import numpy as np
@@ -52,12 +54,17 @@ class FpMatrix:
         return f"FpMatrix(p={self.p}, shape={self.a.shape})"
 
 
-def _row_echelon_rank(a: np.ndarray, p: int) -> int:
-    """Rank via forward elimination on a copy of ``a``."""
+def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Row-echelon form of a copy of ``a`` (pivots scaled to 1) and its pivot columns.
+
+    Forward elimination only: clearing above the pivots as well would cost
+    the rank a full reduction it does not need.
+    """
     a = a.copy()
     rows, cols = a.shape
-    r = 0
+    pivots: list[int] = []
     for c in range(cols):
+        r = len(pivots)
         if r == rows:
             break
         nz = np.flatnonzero(a[r:, c])
@@ -72,54 +79,30 @@ def _row_echelon_rank(a: np.ndarray, p: int) -> int:
         if below.size:
             sel = r + 1 + below
             a[sel, c:] = (a[sel, c:] - np.outer(a[sel, c], a[r, c:])) % p
-        r += 1
-    return r
-
-
-def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form and the list of pivot columns."""
-    a = a.copy()
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = (a[r] * inv) % p
-        others = np.flatnonzero(a[:, c])
-        others = others[others != r]
-        if others.size:
-            a[others] = (a[others] - np.outer(a[others, c], a[r])) % p
         pivots.append(c)
-        r += 1
     return a, pivots
 
 
 def rank_nullity(m: FpMatrix) -> tuple[int, int]:
     """Rank and nullity of ``m``; rank + nullity = cols."""
-    rank = _row_echelon_rank(m.a, m.p)
+    rank = len(_echelon(m.a, m.p)[1])
     return rank, m.cols - rank
 
 
 def kernel_basis(m: FpMatrix) -> list[np.ndarray]:
-    """A basis of the right kernel, one int64 vector per free column."""
-    rref, pivots = _rref(m.a, m.p)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = np.zeros(m.cols, dtype=np.int64)
-        v[free] = 1
-        for row, pc in enumerate(pivots):
-            v[pc] = (-int(rref[row, free])) % m.p
-        basis.append(v)
-    return basis
+    """A basis of the right kernel, one int64 vector per free column.
 
+    The vector for free column f has a 1 at f, 0 at the other free columns,
+    and its pivot entries solved by back-substitution, pivot rows bottom-up;
+    the sums are taken in Python ints, so they cannot overflow.
+    """
+    ech, pivots = _echelon(m.a, m.p)
+    pivot_set = set(pivots)
+    free = [c for c in range(m.cols) if c not in pivot_set]
+    v = np.zeros((m.cols, len(free)), dtype=object)
+    v[free, range(len(free))] = 1
+    ech = ech.astype(object)
+    for row in reversed(range(len(pivots))):
+        pc = pivots[row]
+        v[pc] = -(ech[row, pc + 1 :] @ v[pc + 1 :]) % m.p
+    return [v[:, k].astype(np.int64) for k in range(len(free))]

@@ -147,14 +147,16 @@ def test_criterion_6_worked_example():
 
 def test_criterion_7_distribution_tables():
     start = time.perf_counter()
+    # exact tallies pin the sampler and the survey engine; (3, 17) is the README's
     cases = [
-        (3, 17, 10000, 0.63, 0.70),
-        (5, 11, 10000, 0.77, 0.83),
-        (7, 12, 1000, 0.80, 0.93),
-        (11, 7, 1000, 0.80, 0.93),
+        (3, 17, 10000, 0.63, 0.70, {8: 6650, 9: 2974, 10: 376}),
+        (5, 11, 10000, 0.77, 0.83, {10: 8028, 11: 1877, 12: 78, 13: 13, 14: 4}),
+        (7, 12, 1000, 0.80, 0.93, {18: 851, 19: 145, 20: 3, 21: 1}),
+        (11, 7, 1000, 0.80, 0.93, {18: 901, 19: 99}),
     ]
-    for p, d, n, lo, hi in cases:
+    for p, d, n, lo, hi, tally in cases:
         dist = distribution(p, d, n, seed=1)
+        assert dist.counts == tally, (p, d)
         bound = lower_bound_single(p, d)
         assert min(dist.counts) >= bound, (p, d)
         frac = dist.counts.get(bound, 0) / n

@@ -104,6 +104,13 @@ class TestFamily:
         assert code == 0
         assert "27/27 families attain the bound" in out
 
+    @pytest.mark.parametrize("dmax", ["0", "-5"])
+    def test_range_rejects_dmax_below_one(self, capsys, dmax):
+        code, out, err = run(capsys, "family", "--p", "3", "--dmax", dmax)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --dmax must be at least 1")
+
     def test_unsupported_prime(self, capsys):
         code, _, err = run(capsys, "family", "--p", "7", "--d", "4")
         assert code != 0

@@ -1,8 +1,11 @@
 """Sampling, distributions, reproducibility, exhaustive and random search."""
 
+import os
+
 import numpy as np
 import pytest
 
+import asnum.experiments
 from asnum.bounds import lower_bound_single
 from asnum.curve import BasicCurve
 from asnum.anumber import a_number_fast
@@ -66,6 +69,26 @@ class TestDistribution:
         parallel = distribution(3, 8, 40, seed=9, threads=2)
         assert serial.counts == parallel.counts
 
+    def test_worker_count_clamped_to_cpus(self, monkeypatch):
+        recorded = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                recorded.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(asnum.experiments, "ProcessPoolExecutor", InProcessPool)
+        clamped = distribution(3, 8, 40, seed=9, threads=10**6)
+        assert all(w <= (os.cpu_count() or 1) for w in recorded)
+        assert clamped.counts == distribution(3, 8, 40, seed=9, threads=1).counts
+
     def test_validation(self):
         with pytest.raises(ValueError):
             distribution(3, 6, 10, seed=0)
@@ -105,6 +128,11 @@ class TestSerialization:
             "elapsed_ms",
         }
 
+    def test_csv_rejects_duplicate_rows(self):
+        text = "# p=3\n# d=4\n# n_samples=1\n# seed=0\na,count\n2,5\n2,1\n"
+        with pytest.raises(ValueError, match="duplicate row for a = 2"):
+            Distribution.from_csv(text)
+
     def test_csv_rejects_headerless_text(self):
         with pytest.raises(ValueError):
             Distribution.from_csv("# p=3\n# d=4\n# n_samples=1\n# seed=0\n1,1\n")
@@ -119,9 +147,12 @@ class TestSerialization:
 class TestExhaustiveSearch:
     def test_small_cases(self):
         result = min_a_exhaustive(3, 4)
-        assert result.min_a == 2
+        assert (result.min_a, str(result.witness), result.candidates_tested) == (
+            2,
+            "x^4+x^2",
+            18,
+        )
         assert result.exhaustive
-        assert result.candidates_tested == 18
         assert a_number_fast(BasicCurve.from_poly(3, result.witness)) == 2
 
         assert min_a_exhaustive(3, 2).min_a == 1
@@ -152,6 +183,12 @@ class TestRandomSearch:
         r1 = min_a_random(5, 7, 30, seed=8)
         r2 = min_a_random(5, 7, 30, seed=8)
         assert r1.min_a == r2.min_a and r1.witness == r2.witness
+        # the first candidate attaining the minimum is the witness
+        assert (r1.min_a, str(r1.witness), r1.candidates_tested) == (
+            7,
+            "3*x^7+x^6+4*x^3+x^2+x",
+            30,
+        )
 
     def test_large_prime_minima(self):
         # the bound is attained by most covers, so modest sample counts find it
