@@ -4,21 +4,24 @@ Fast path: for each basis kernel tuple, reconstruct the corresponding
 differential on the cover level by level and record the coefficients that can
 spoil regularity; the a-number is the nullity of that obstruction matrix.
 
-Oracle path: expand the Cartier operator of the cover itself on the full
-monomial basis of regular differentials (rewriting powers of y through
-y^p = y + f) and take the kernel dimension there.  The paths share only the
+Oracle path: the matrix of the Cartier operator of the cover itself on the
+full monomial basis x^j y^i dx of regular differentials, and its kernel
+dimension.  Since y = y^p - f, y^i = sum_t comb(i, t) y^(pt) (-f)^(i-t), so
+the entry at row x^r y^t dx and column x^j y^i dx is comb(i, t) times the
+coefficient of x^(p(r+1)-1-j) in (-f)^(i-t).  The paths share only the
 polynomial layer, so their agreement is a meaningful end-to-end check.
 
-The p-rank is 0, certified by strict triangularity: in the level-major basis
-the Cartier operator sends x^j y^i dx either to a lower level or, on level i,
-to exponent (j+1)/p - 1 < j, so its matrix is strictly upper triangular and
-hence nilpotent.  The matrix is checked for that shape, never assumed to have
-it.
+The p-rank is 0.  The oracle certifies it on the matrix it builds: in the
+level-major basis the Cartier operator sends x^j y^i dx either to a lower
+level or, on level i, to exponent (j+1)/p - 1 < j, so its matrix is strictly
+upper triangular and hence nilpotent; the matrix is checked for that shape,
+never assumed to have it.  The fast report builds no Cartier matrix and takes
+p-rank 0 from the Deuring-Shafarevich formula (one totally ramified branch
+point over the projective line).
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -125,18 +128,13 @@ class CoverDifferential:
         return " + ".join(parts) if parts else "0"
 
 
-@lru_cache(maxsize=64)
-def _neg_f_power_polys(curve: BasicCurve) -> tuple[FpPoly, ...]:
-    """(-f)^e for e = 0 .. p-1."""
+def _neg_f_powers(curve: BasicCurve) -> list[np.ndarray]:
+    """Coefficient arrays of (-f)^e for e = 0 .. p-1."""
     neg = -curve.f
-    out = [FpPoly.one(curve.p)]
+    powers = [FpPoly.one(curve.p)]
     for _ in range(1, curve.p):
-        out.append(out[-1] * neg)
-    return tuple(out)
-
-
-def _neg_f_power_arrays(curve: BasicCurve) -> list[np.ndarray]:
-    return [np.array(g.coeffs, dtype=np.int64) for g in _neg_f_power_polys(curve)]
+        powers.append(powers[-1] * neg)
+    return [np.array(g.coeffs, dtype=np.int64) for g in powers]
 
 
 def reconstruct(curve: BasicCurve, v: KernelTuple) -> CoverDifferential:
@@ -147,7 +145,7 @@ def reconstruct(curve: BasicCurve, v: KernelTuple) -> CoverDifferential:
     the higher components multiplied by powers of -f.
     """
     p = curve.p
-    negf = _neg_f_power_polys(curve)
+    negf = [FpPoly(p, g.tolist()) for g in _neg_f_powers(curve)]
     omega: list = [None] * p
     omega[p - 1] = v.nu[p - 1]
     for t in range(p - 2, -1, -1):
@@ -194,7 +192,7 @@ def obstruction_matrix(curve: BasicCurve) -> FpMatrix:
     obstruction_vector is covered by tests.
     """
     p = curve.p
-    negf = _neg_f_power_arrays(curve)
+    negf = _neg_f_powers(curve)
     mat = np.zeros((curve.dim_obstruction, curve.dim_domain), dtype=np.int64)
     row_offset = []
     total = 0
@@ -248,45 +246,31 @@ def cartier_matrix(curve: BasicCurve) -> FpMatrix:
     """Matrix of the Cartier operator of the cover on regular differentials.
 
     Basis: x^j y^i dx with 0 <= j <= reg_bound[i], level-major; its size is
-    the genus.  The operator preserves the regular span; the implementation
-    checks this instead of assuming it.
+    the genus.  Each (t, i) level block is one gather from (-f)^(i-t) by the
+    closed form in the module docstring.  The operator preserves the regular
+    span; the implementation checks this instead of assuming it.
     """
     p = curve.p
-    negf = _neg_f_power_arrays(curve)
-    level_off = []
-    total = 0
-    for i in range(p):
-        level_off.append(total)
-        total += max(curve.reg_bound[i] + 1, 0)
-    if total != curve.genus:
+    negf = _neg_f_powers(curve)
+    sizes = [max(b + 1, 0) for b in curve.reg_bound]
+    if sum(sizes) != curve.genus:
         raise InvariantViolation("regular basis size disagrees with the genus")
-    mat = np.zeros((total, total), dtype=np.int64)
-    col = 0
+    off = np.cumsum([0] + sizes)
+    mat = np.zeros((curve.genus, curve.genus), dtype=np.int64)
     for i in range(p):
-        for j in range(curve.reg_bound[i] + 1):
-            for t in range(i + 1):
-                scale = math.comb(i, t) % p
-                if scale == 0:
-                    continue
-                g = negf[i - t]
-                # x^e of (-f)^(i-t) contributes x^(e+j), surviving when
-                # e + j = -1 (mod p) and landing at exponent (e+j+1)/p - 1
-                start = (p - 1 - j) % p
-                offs = np.arange(start, len(g), p)
-                if offs.size == 0:
-                    continue
-                vals = g[offs]
-                keep = np.flatnonzero(vals)
-                if keep.size == 0:
-                    continue
-                offs = offs[keep]
-                vals = vals[keep]
-                exps = (j + offs + 1) // p - 1
-                if int(exps[-1]) > curve.reg_bound[t]:
-                    raise InvariantViolation("Cartier image left the regular span")
-                rows = level_off[t] + exps
-                mat[rows, col] = (mat[rows, col] + scale * vals) % p
-            col += 1
+        for t in range(i + 1):
+            g = negf[i - t]
+            # enough rows r to reach every coefficient of g; rows past
+            # reg_bound[t] must come out zero
+            rows = max(sizes[t], (len(g) + sizes[i] - 1) // p)
+            idx = p * np.arange(1, rows + 1)[:, None] - 1 - np.arange(sizes[i])
+            ok = (idx >= 0) & (idx < len(g))
+            block = np.zeros(idx.shape, dtype=np.int64)
+            block[ok] = g[idx[ok]]
+            if block[sizes[t] :].any():
+                raise InvariantViolation("Cartier image left the regular span")
+            block = math.comb(i, t) * block[: sizes[t]] % p
+            mat[off[t] : off[t + 1], off[i] : off[i + 1]] = block
     return FpMatrix(p, mat)
 
 
@@ -336,15 +320,18 @@ class ANumberReport:
 def report(curve: BasicCurve, method: str = "fast") -> ANumberReport:
     """Assemble the a-number (by the requested method) and companions.
 
-    Raises InvariantViolation when a falls outside [L(d), genus] or the p-rank
-    certificate fails.
+    Raises InvariantViolation when a falls outside [L(d), genus] or, on the
+    oracle path, the p-rank certificate fails.
     """
     if method == "fast":
         a = a_number_fast(curve)
-        cartier_m = cartier_matrix(curve)
+        # Deuring-Shafarevich: a Z/pZ-cover of the projective line with one
+        # totally ramified branch point has p-rank 0
+        rank_p = 0
     elif method == "oracle":
         cartier_m = cartier_matrix(curve)
         a = rank_nullity(cartier_m)[1]
+        rank_p = _certified_p_rank(cartier_m)
     else:
         raise ValueError(f"unknown method {method!r}; expected 'fast' or 'oracle'")
     bound = lower_bound_single(curve.p, curve.d)
@@ -354,7 +341,7 @@ def report(curve: BasicCurve, method: str = "fast") -> ANumberReport:
         a=a,
         method=method,
         genus=curve.genus,
-        p_rank=_certified_p_rank(cartier_m),
+        p_rank=rank_p,
         lower_bound=bound,
         dim_domain=curve.dim_domain,
         dim_obstruction=curve.dim_obstruction,

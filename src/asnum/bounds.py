@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numutil import ceil_div, is_prime
+from .numutil import ceil_div, check_degree, is_prime
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,7 @@ class RamificationData:
 def _check_pair(p: int, d: int, i: int, j: int) -> None:
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    if d < 1 or d % p == 0:
-        raise ValueError(f"d = {d} must be positive and coprime to p = {p}")
+    check_degree(p, d)
     if not 0 <= j <= p - 1:
         raise ValueError(f"j = {j} out of range [0, {p - 1}]")
     if not j <= i <= p - 1:
@@ -87,8 +86,7 @@ def lower_bound(data: RamificationData) -> int:
 
 def lower_bound_p3(d: int) -> int:
     """Closed form of the p = 3 bound: ceil(2d/3)+ceil(d/3)-ceil(d/9)-ceil(4d/9)."""
-    if d < 1 or d % 3 == 0:
-        raise ValueError(f"d = {d} must be positive and coprime to 3")
+    check_degree(3, d)
     return ceil_div(2 * d, 3) + ceil_div(d, 3) - ceil_div(d, 9) - ceil_div(4 * d, 9)
 
 

@@ -6,8 +6,11 @@ JSON (see experiments module for the schemas).  The worker count of
 experiment defaults to the ASNUM_THREADS environment variable.
 
 Exit codes: 0 on success; 1 for bad input, a failed family check or a
-disagreement between the two a-number methods; 3 when an internal invariant
-of the computation is violated (a bug, reported as "invariant violated: ...").
+disagreement between the two a-number methods; 2 for an argument error caught
+by the parser (a usage line and "error: ..."), such as a non-prime --p or a
+--threads / ASNUM_THREADS that is not a positive integer; 3 when an internal
+invariant of the computation is violated (a bug, reported as
+"invariant violated: ...").
 """
 
 import argparse
@@ -27,13 +30,6 @@ from .experiments import (
 from .families import minimal_family, verify_family
 from .fppoly import FpPoly, PolyParseError, SplitCoverError, parse_poly
 from .numutil import is_prime
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("ASNUM_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _parse_f(args) -> FpPoly:
@@ -165,6 +161,13 @@ def _prime(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="asnum",
@@ -202,7 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--format", choices=("text", "csv", "json"), default="text")
     q.add_argument("--out", help="write csv/json to this path")
-    q.add_argument("--threads", type=int, default=_default_threads())
+    # a string default goes through _positive only when experiment is parsed
+    q.add_argument("--threads", type=_positive,
+                   default=os.environ.get("ASNUM_THREADS", "1"),
+                   help="worker processes (default: ASNUM_THREADS, else 1)")
     q.set_defaults(func=cmd_experiment)
 
     q = sub.add_parser("search", help="minimal a-number over degree-d covers")

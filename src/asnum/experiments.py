@@ -25,6 +25,7 @@ from .anumber import a_number_fast
 from .bounds import lower_bound_single
 from .curve import BasicCurve
 from .fppoly import FpPoly
+from .numutil import check_degree
 
 SCHEMA_VERSION = 1
 
@@ -35,11 +36,6 @@ class SearchSpaceError(ValueError):
     """Raised when an exhaustive enumeration would exceed its candidate cap."""
 
 
-def _check_degree(p: int, d: int) -> None:
-    if d < 1 or d % p == 0:
-        raise ValueError(f"d = {d} must be positive and coprime to p = {p}")
-
-
 def free_exponents(p: int, d: int) -> list[int]:
     """Exponents 0 < e < d with p not dividing e: the free coefficient slots."""
     return [e for e in range(1, d) if e % p != 0]
@@ -47,7 +43,7 @@ def free_exponents(p: int, d: int) -> list[int]:
 
 def sample_space_size(p: int, d: int) -> int:
     """Number of normalized degree-d polynomials: (p-1) * p^(#free slots)."""
-    _check_degree(p, d)
+    check_degree(p, d)
     return (p - 1) * p ** len(free_exponents(p, d))
 
 
@@ -62,7 +58,7 @@ def sample_poly(p: int, d: int, rng: np.random.Generator) -> FpPoly:
     then the free slots in increasing exponent order; keep this order fixed
     or reproducibility breaks.
     """
-    _check_degree(p, d)
+    check_degree(p, d)
     coeffs = [0] * (d + 1)
     coeffs[d] = int(rng.integers(1, p))
     free = free_exponents(p, d)
@@ -204,7 +200,7 @@ def distribution(
     speed only.  At most min(threads, CPU count, n_samples) worker processes
     are started.
     """
-    _check_degree(p, d)
+    check_degree(p, d)
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     if seed < 0:
@@ -265,7 +261,7 @@ def min_a_exhaustive(p: int, d: int, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> Searc
 
     Raises SearchSpaceError when the space exceeds ``cap`` candidates.
     """
-    _check_degree(p, d)
+    check_degree(p, d)
     total = sample_space_size(p, d)
     if total > cap:
         raise SearchSpaceError(
@@ -277,7 +273,7 @@ def min_a_exhaustive(p: int, d: int, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> Searc
 
 def min_a_random(p: int, d: int, n_samples: int, seed: int) -> SearchResult:
     """Minimum a-number over n_samples random covers: an upper bound for the true minimum."""
-    _check_degree(p, d)
+    check_degree(p, d)
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     return _search(p, d, _random_polys(p, d, seed, 0, n_samples), exhaustive=False)

@@ -14,7 +14,7 @@ from .anumber import a_number_fast
 from .bounds import lower_bound_single
 from .curve import BasicCurve
 from .fppoly import FpPoly
-from .numutil import ceil_div
+from .numutil import ceil_div, check_degree
 
 # second exponent of x^d + x^(15m + shift) per residue d = 25m + delta;
 # the six residues 3, 7, 9, 16, 18, 22 admit no binomial with minimal a-number
@@ -56,8 +56,7 @@ def family_p3(d: int) -> FpPoly:
     distinct basis tuple.  Degree 1 is a special case (x itself): the generic
     shift formula would overshoot the degree there.
     """
-    if d < 1 or d % 3 == 0:
-        raise ValueError(f"d = {d} must be positive and coprime to 3")
+    check_degree(3, d)
     if d == 1:
         return FpPoly.monomial(3, 1)
     c = ceil_div(d, 3)
@@ -74,8 +73,7 @@ def family_p5_binomial(d: int) -> FpPoly | None:
     None when d mod 25 has no binomial row, and for d = 1 where the tabulated
     second exponent would exceed the degree.
     """
-    if d < 1 or d % 5 == 0:
-        raise ValueError(f"d = {d} must be positive and coprime to 5")
+    check_degree(5, d)
     m, delta = divmod(d, 25)
     shift = BINOMIAL_SHIFT.get(delta)
     if shift is None:
@@ -94,8 +92,7 @@ def family_p5_trinomial25(d: int) -> FpPoly | None:
     exponent would exceed the degree) and d = 16 (kept on the mod-5 route; see
     family_p5_mod5 for its trinomial).
     """
-    if d < 1 or d % 5 == 0:
-        raise ValueError(f"d = {d} must be positive and coprime to 5")
+    check_degree(5, d)
     m, delta = divmod(d, 25)
     row = TRINOMIAL25_SHIFTS.get(delta)
     if row is None:
@@ -117,8 +114,7 @@ def family_p5_mod5(d: int) -> FpPoly:
     For small quotients n two of the three exponents can coincide, in which
     case their coefficients add.
     """
-    if d < 1 or d % 5 == 0:
-        raise ValueError(f"d = {d} must be positive and coprime to 5")
+    check_degree(5, d)
     if d == 1:
         return FpPoly.monomial(5, 1)
     if d == 2:

@@ -1,5 +1,7 @@
 """a-number computations: worked example, dual-method agreement, invariants."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,34 @@ class TestANumbers:
         assert m.a.shape == (20, 20)
         assert rank_nullity(m)[1] == a_number_fast(c)
 
+    def test_cartier_matrix_matches_line_cartier_operator(self):
+        # column x^j y^i dx, level-t block: comb(i, t) C(x^j (-f)^(i-t) dx),
+        # built with FpPoly arithmetic only
+        rng = np.random.default_rng(61)
+        for p in (2, 3, 5, 7, 11, 13):
+            for _ in range(3):
+                d = int(rng.integers(1, 41))
+                if d % p == 0:
+                    continue
+                c = random_curve(p, d, rng)
+                m = cartier_matrix(c).a
+                sizes = [max(b + 1, 0) for b in c.reg_bound]
+                starts = [sum(sizes[:i]) for i in range(p)]
+                powers = [(-c.f) ** e for e in range(p)]
+                for i in range(p):
+                    for j in range(sizes[i]):
+                        column = m[:, starts[i] + j]
+                        for t in range(p):
+                            block = column[starts[t] : starts[t] + sizes[t]].tolist()
+                            want = [0] * sizes[t]
+                            if t <= i:
+                                x_j = FpPoly.monomial(p, j)
+                                image = cartier(Differential(x_j * powers[i - t])).h
+                                image = image * math.comb(i, t)
+                                assert image.degree <= c.reg_bound[t], (p, d, i, j, t)
+                                want[: len(image.coeffs)] = image.coeffs
+                            assert block == want, (p, d, str(c.f), i, j, t)
+
     def test_methods_agree_on_random_curves(self):
         rng = np.random.default_rng(37)
         for p in (2, 3, 5, 7):
@@ -288,9 +318,15 @@ class TestPRankCertificate:
         monkeypatch.setattr(asnum.anumber, "cartier_matrix", lambda curve: transposed)
         with pytest.raises(InvariantViolation, match="diagonal"):
             p_rank(c)
-        for method in ("fast", "oracle"):
-            with pytest.raises(InvariantViolation, match="diagonal"):
-                report(c, method=method)
+        with pytest.raises(InvariantViolation, match="diagonal"):
+            report(c, method="oracle")
+
+        def unavailable(curve):
+            raise RuntimeError("the fast report built the Cartier matrix")
+
+        # the fast report takes p-rank 0 from Deuring-Shafarevich, no matrix
+        monkeypatch.setattr(asnum.anumber, "cartier_matrix", unavailable)
+        assert report(c, method="fast").p_rank == 0
 
     def test_report_rejects_a_outside_bound(self, monkeypatch):
         c = make(5, "x^11+x^8")

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import asnum.anumber
 import asnum.cli
 from asnum.anumber import InvariantViolation
 from asnum.cli import main
@@ -76,6 +77,20 @@ class TestAnumber:
         code, _, err = run(capsys, "anumber", "--p", "3", "--f", "x^3-x")
         assert code != 0
         assert "split" in err
+
+    def test_both_methods_build_one_cartier_matrix(self, capsys, monkeypatch):
+        built = []
+        real = asnum.anumber.cartier_matrix
+
+        def counted(curve):
+            built.append(curve)
+            return real(curve)
+
+        monkeypatch.setattr(asnum.anumber, "cartier_matrix", counted)
+        code, out, _ = run(capsys, "anumber", "--p", "5", "--f", "x^11+x^8", "--method", "both")
+        assert code == 0
+        assert "methods agree" in out
+        assert len(built) == 1
 
     def test_invariant_violation_exits_3(self, capsys, monkeypatch):
         def broken(curve, method="fast"):
@@ -175,6 +190,23 @@ class TestExperiment:
             ["experiment", "--p", "3", "--d", "4", "--n", "1"]
         )
         assert args.threads == 2
+
+    @pytest.mark.parametrize(
+        "env, flags",
+        [("abc", []), (None, ["--threads", "0"]), (None, ["--threads", "-7"])],
+    )
+    def test_threads_must_be_positive(self, capsys, monkeypatch, env, flags):
+        if env is None:
+            monkeypatch.delenv("ASNUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("ASNUM_THREADS", env)
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--p", "3", "--d", "7", "--n", "5", *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "argument --threads" in err
+        # only experiment takes a worker count
+        assert run(capsys, "bound", "--p", "3", "--d", "7")[0] == 0
 
 
 class TestSearch:
