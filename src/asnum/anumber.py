@@ -269,7 +269,8 @@ def cartier_matrix(curve: BasicCurve) -> FpMatrix:
             block[ok] = g[idx[ok]]
             if block[sizes[t] :].any():
                 raise InvariantViolation("Cartier image left the regular span")
-            block = math.comb(i, t) * block[: sizes[t]] % p
+            # reduce the binomial first: products stay below p^2 in int64
+            block = math.comb(i, t) % p * block[: sizes[t]] % p
             mat[off[t] : off[t + 1], off[i] : off[i + 1]] = block
     return FpMatrix(p, mat)
 
