@@ -63,6 +63,7 @@ from .fppoly import (
     section_after_cartier,
 )
 from .linalg import FpMatrix, kernel_basis, rank_nullity
+from .numutil import HeadroomError
 
 __version__ = "0.1.0"
 
@@ -75,6 +76,7 @@ __all__ = [
     "FamilyCheck",
     "FpMatrix",
     "FpPoly",
+    "HeadroomError",
     "InvariantViolation",
     "KernelTuple",
     "PolyParseError",

@@ -22,6 +22,7 @@ point over the projective line).
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .bounds import lower_bound_single
 from .curve import BasicCurve, domain_basis, level_exponents
 from .fppoly import Differential, FpPoly, cartier, section_after_cartier
 from .linalg import FpMatrix, rank_nullity
+from .numutil import check_int64_sum
 
 
 class InvariantViolation(AssertionError):
@@ -186,54 +188,51 @@ def obstruction_matrix(curve: BasicCurve) -> FpMatrix:
     """Matrix of the obstruction map over the kernel-tuple basis.
 
     Columns follow domain_basis order; rows are obstruction slots,
-    level-major then exponent ascending.  Computed levelwise on numpy
-    coefficient blocks, one block of basis columns at a time, which keeps the
-    degree-500 family sweeps fast; columnwise agreement with
-    obstruction_vector is covered by tests.
+    level-major then exponent ascending.  Below its top level a reconstructed
+    component lives on exponents = -1 (mod p) only, so level t is stored
+    compressed: row u stands for exponent p*u + p - 1.  One downward sweep
+    t = p-2 .. 0 covers every basis column at once; at level t it touches only
+    the columns whose top level is above t.  A source level src adds
+    comb(src, t) * omega[src] * g with g = (-f)^(src-t) in two parts: the
+    unit monomials x^j of the columns topped at src are one gather
+    g[p*u + p - 1 - j], and the compressed components of the higher columns
+    are a shifted-add convolution with g[::p] alone, since only exponents
+    divisible by p move -1 (mod p) onto itself.  The obstruction rows of
+    level t are then a slice of its compressed block.  Columnwise agreement
+    with obstruction_vector is covered by tests.
     """
     p = curve.p
+    rows = [max((c - (p - 1)) // p + 1, 0) for c in curve.comp_bound]
+    # per entry, each source adds at most rows[t] <= rows[0] products below p^2
+    check_int64_sum((p - 1) * rows[0], (p - 1) ** 2, "obstruction build")
     negf = _neg_f_powers(curve)
+    exps = [np.array(level_exponents(curve, i), dtype=np.int64) for i in range(p)]
+    col = list(accumulate((len(e) for e in exps), initial=0))
     mat = np.zeros((curve.dim_obstruction, curve.dim_domain), dtype=np.int64)
-    row_offset = []
-    total = 0
-    for t in range(p):
-        row_offset.append(total)
-        total += curve.slot_count[t]
-    col = 0
-    for i in range(p):
-        exps = level_exponents(curve, i)
-        k = len(exps)
-        if k == 0:
-            continue
-        # omega[t]: level-t coefficient columns for all k basis tuples at once
-        omega: dict[int, np.ndarray] = {}
-        top = np.zeros((curve.reg_bound[i] + 1, k), dtype=np.int64)
-        top[exps, np.arange(k)] = 1
-        omega[i] = top
-        for t in range(i - 1, -1, -1):
-            acc = np.zeros((curve.comp_bound[t] + 1, k), dtype=np.int64)
-            for src in range(t + 1, i + 1):
-                w = omega[src]
-                if w.shape[0] == 0:
-                    continue
-                scale = math.comb(src, t) % p
-                if scale == 0:
-                    continue
-                g = negf[src - t]
-                for e in np.flatnonzero(g):
-                    acc[e : e + w.shape[0]] += (int(g[e]) * scale) * w
-            proj = np.zeros_like(acc)
-            proj[p - 1 :: p] = (-acc[p - 1 :: p]) % p
-            omega[t] = proj
-        # the level-i component is the original monomial: degree cap respected,
-        # so only levels below i can reach obstruction slots
-        for t in range(i):
-            r_t = curve.slot_count[t]
-            if r_t == 0:
-                continue
-            block = omega[t][curve.slot_start[t] :: p]
-            mat[row_offset[t] : row_offset[t] + r_t, col : col + k] = block
-        col += k
+    # comp[t]: compressed level-t components of the columns col[t+1]: onwards
+    comp = [np.zeros((0, 0), dtype=np.int64)] * p
+    row = list(accumulate(curve.slot_count, initial=0))
+    for t in range(p - 2, -1, -1):
+        base = col[t + 1]
+        acc = np.zeros((rows[t], col[p] - base), dtype=np.int64)
+        for src in range(t + 1, p):
+            g = math.comb(src, t) % p * negf[src - t] % p
+            if len(exps[src]):
+                idx = p * np.arange(rows[t])[:, None] + (p - 1) - exps[src]
+                ok = (idx >= 0) & (idx < len(g))
+                block = acc[:, col[src] - base : col[src + 1] - base]
+                block[ok] += g[idx[ok]]
+            w = comp[src]
+            if w.size:
+                n = w.shape[0]
+                sub = acc[:, col[src + 1] - base :]
+                gp = g[::p]
+                for k in np.flatnonzero(gp).tolist():
+                    sub[k : k + n] += int(gp[k]) * w
+        comp[t] = (-acc) % p
+        if curve.slot_count[t]:
+            u = (curve.slot_start[t] - (p - 1)) // p
+            mat[row[t] : row[t + 1], base:] = comp[t][u : u + curve.slot_count[t]]
     return FpMatrix(p, mat)
 
 

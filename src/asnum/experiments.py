@@ -276,4 +276,6 @@ def min_a_random(p: int, d: int, n_samples: int, seed: int) -> SearchResult:
     check_degree(p, d)
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     return _search(p, d, _random_polys(p, d, seed, 0, n_samples), exhaustive=False)

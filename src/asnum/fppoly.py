@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 
-from .numutil import is_prime
+from .numutil import check_int64_sum, is_prime
 
 NEG_INF = float("-inf")
 
@@ -116,6 +116,8 @@ class FpPoly:
             return FpPoly.zero(self.p)
         a, b = self.coeffs, other.coeffs
         if min(len(a), len(b)) > _CONVOLVE_CUTOFF:
+            # each output coefficient sums at most min(len) products below p^2
+            check_int64_sum(min(len(a), len(b)), (self.p - 1) ** 2, "polynomial product")
             out = np.convolve(np.array(a, np.int64), np.array(b, np.int64))
             return FpPoly(self.p, (out % self.p).tolist())
         out = [0] * (len(a) + len(b) - 1)

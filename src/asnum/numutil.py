@@ -2,6 +2,20 @@
 
 import math
 
+INT64_MAX = 2**63 - 1
+
+
+class HeadroomError(ValueError):
+    """An int64 sum the computation needs could overflow; raised before it starts."""
+
+
+def check_int64_sum(terms: int, term_max: int, what: str) -> None:
+    """Raise HeadroomError unless terms values in [0, term_max] sum within int64."""
+    if terms * term_max > INT64_MAX:
+        raise HeadroomError(
+            f"{what}: {terms} terms up to {term_max} could overflow int64"
+        )
+
 
 def is_prime(n: int) -> bool:
     """Trial division; fine for the small moduli used here."""

@@ -1,9 +1,13 @@
 """a-number computations: worked example, dual-method agreement, invariants."""
 
+import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import asnum.anumber
 from asnum.anumber import (
@@ -22,10 +26,13 @@ from asnum.anumber import (
     reconstruct,
     report,
 )
+from asnum.bounds import lower_bound_single
 from asnum.curve import BasicCurve, domain_basis
+from asnum.families import minimal_family
 from asnum.fppoly import Differential, FpPoly, cartier, parse_poly, section_after_cartier
 from asnum.linalg import FpMatrix, rank_nullity
 from asnum.experiments import sample_poly
+from asnum.numutil import HeadroomError
 
 
 def make(p, text):
@@ -142,15 +149,56 @@ class TestObstructionMap:
                 assert not any(obstruction_vector(c, v))
 
     def test_matrix_columns_match_vectors(self):
+        # p = 2 has only the top source level; the larger primes reach many
+        # source levels and binomials comb(src, t) far above p
         rng = np.random.default_rng(31)
         cases = [make(3, "x^4+x^2"), make(5, "x^11"), make(5, "x^16+x^14+x^9")]
-        cases += [random_curve(7, 10, rng), random_curve(3, 17, rng)]
+        cases += [make(2, "x^13+x^6+x")]
+        cases += [random_curve(p, d, rng) for p, d in ((7, 10), (3, 17), (11, 30), (13, 25), (71, 3))]
         for c in cases:
             m = obstruction_matrix(c).a
             assert m.shape == (c.dim_obstruction, c.dim_domain)
             for k, (i, j) in enumerate(domain_basis(c)):
                 vec = obstruction_vector(c, KernelTuple.unit(c, i, j))
-                assert tuple(int(x) for x in m[:, k]) == vec, (c.f, i, j)
+                assert tuple(int(x) for x in m[:, k]) == vec, (c.p, c.f, i, j)
+        # at (67, 14) one reference column takes about 0.1 s and there are 429;
+        # the map is linear, so random tuples check every column at once
+        c = random_curve(67, 14, rng)
+        m = obstruction_matrix(c).a
+        for _ in range(3):
+            coords = rng.integers(0, c.p, size=c.dim_domain)
+            v = KernelTuple.from_coefficients(c, [int(x) for x in coords])
+            assert tuple(int(x) for x in m @ coords % c.p) == obstruction_vector(c, v)
+
+    @pytest.mark.parametrize(
+        "p, d, sha1",
+        [
+            (5, 499, "9f6c4f70f06fad11fa9b1b3408ef181920599834"),
+            (13, 60, "2b5521d94527fd13f5430d299096d555871a87d8"),
+            (7, 101, "82ed1201afc9a44c73deb1e1127c153239b4d518"),
+            (3, 499, "c2b1d6a6635f3abbd884345e7c7e2501a88f50bc"),
+        ],
+    )
+    def test_matrix_bytes_pinned(self, p, d, sha1):
+        # recorded from the per-level build that preceded the polyphase one
+        c = random_curve(p, d, np.random.default_rng(1000 * p + d))
+        m = obstruction_matrix(c).a
+        assert m.dtype == np.int64
+        assert hashlib.sha1(m.tobytes()).hexdigest() == sha1
+
+    def test_family_matrix_bytes_pinned(self):
+        c = BasicCurve.from_poly(5, minimal_family(5, 499)[0])
+        m = obstruction_matrix(c).a
+        assert m.dtype == np.int64
+        assert hashlib.sha1(m.tobytes()).hexdigest() == "714eba6687081b979d47907c412bb948e46d7a8b"
+
+    def test_int64_headroom_checked_before_building(self):
+        # sizes only: a stand-in curve with p = 2^21 + 17, where the first
+        # level's sums could pass 2^63; the guard must fire before any array
+        p = 2**21 + 17
+        big = SimpleNamespace(p=p, comp_bound=(2 * (p - 1) - 2,))
+        with pytest.raises(HeadroomError, match="obstruction build"):
+            obstruction_matrix(big)
 
     def test_shapes_on_degenerate_curves(self):
         c = make(3, "x^2")
@@ -159,6 +207,23 @@ class TestObstructionMap:
         c = make(3, "x")
         assert obstruction_matrix(c).a.shape == (0, 0)
         assert a_number_fast(c) == 0
+
+
+@st.composite
+def small_covers(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    d = draw(st.integers(1, 40).filter(lambda d: d % p))
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
+    lead = draw(st.integers(1, p - 1))
+    return BasicCurve.from_poly(p, FpPoly(p, coeffs + [lead]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_covers())
+def test_fast_equals_oracle_within_bounds(c):
+    a = a_number_fast(c)
+    assert a == a_number_oracle(c)
+    assert lower_bound_single(c.p, c.d) <= a <= c.genus
 
 
 class TestANumbers:
@@ -239,7 +304,6 @@ class TestANumbers:
     def test_p2_a_number_is_determined_by_the_degree(self):
         # in characteristic 2 the a-number of every degree-d cover equals the
         # bound, so any deviation here means a pipeline bug
-        from asnum.bounds import lower_bound_single
         from asnum.experiments import _rng_for
 
         for d in range(1, 24, 2):
@@ -266,8 +330,6 @@ class TestANumbers:
 
     def test_bound_sandwich(self):
         rng = np.random.default_rng(43)
-        from asnum.bounds import lower_bound_single
-
         for p in (3, 5, 7):
             for _ in range(10):
                 d = int(rng.integers(1, 14))

@@ -236,6 +236,14 @@ class TestSearch:
         assert "exhaustive = no" in out
         assert "witness = " in out
 
+    def test_random_mode_rejects_negative_seed(self, capsys):
+        code, out, err = run(
+            capsys, "search", "--p", "5", "--d", "7", "--mode", "random",
+            "--n", "3", "--seed", "-1",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: seed must be nonnegative\n"
+
 
 def test_prime_validation(capsys):
     with pytest.raises(SystemExit):

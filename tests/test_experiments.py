@@ -190,6 +190,10 @@ class TestRandomSearch:
             30,
         )
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            min_a_random(5, 7, 3, seed=-1)
+
     def test_large_prime_minima(self):
         # the bound is attained by most covers, so modest sample counts find it
         assert min_a_random(7, 12, 150, seed=1).min_a == 18

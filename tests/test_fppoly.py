@@ -15,6 +15,7 @@ from asnum.fppoly import (
     section,
     section_after_cartier,
 )
+from asnum.numutil import HeadroomError, check_int64_sum
 
 
 def poly(p, text):
@@ -75,6 +76,19 @@ class TestFpPoly:
             for j, cb in enumerate(b.coeffs):
                 expected[i + j] += ca * cb
         assert (a * b).coeffs == FpPoly(p, expected).coeffs
+
+    def test_long_multiplication_checks_int64_headroom(self):
+        # p = 2^32 + 15: a single product of two residues passes 2^63
+        p = 2**32 + 15
+        long = FpPoly(p, [p - 1] * 17)
+        with pytest.raises(HeadroomError, match="polynomial product"):
+            long * long
+        # the schoolbook path sums Python ints and stays exact
+        short = FpPoly(p, [p - 1] * 16)
+        assert (short * short).coeffs[:2] == (1, 2)
+        check_int64_sum(1, 2**63 - 1, "sum")
+        with pytest.raises(HeadroomError):
+            check_int64_sum(2, 2**62, "sum")
 
     def test_monomial_and_shift(self):
         assert FpPoly.monomial(3, 4) == poly(3, "x^4")
