@@ -52,7 +52,6 @@ from .families import (
     verify_family,
 )
 from .fppoly import (
-    Differential,
     FpPoly,
     PolyParseError,
     SplitCoverError,
@@ -71,7 +70,6 @@ __all__ = [
     "ANumberReport",
     "BasicCurve",
     "CoverDifferential",
-    "Differential",
     "Distribution",
     "FamilyCheck",
     "FpMatrix",

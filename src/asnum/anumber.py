@@ -9,7 +9,13 @@ full monomial basis x^j y^i dx of regular differentials, and its kernel
 dimension.  Since y = y^p - f, y^i = sum_t comb(i, t) y^(pt) (-f)^(i-t), so
 the entry at row x^r y^t dx and column x^j y^i dx is comb(i, t) times the
 coefficient of x^(p(r+1)-1-j) in (-f)^(i-t).  The paths share only the
-polynomial layer, so their agreement is a meaningful end-to-end check.
+table of powers (-f)^e, so their agreement is a meaningful end-to-end check.
+
+Line differentials h dx are held as the FpPoly h.  The table is built with
+numpy in int64, and the builds' int64 sums are checked for headroom before
+anything is built.  reconstruct, the column reference for the fast build,
+builds its own powers with exact FpPoly products, so it shares no
+arithmetic with that table.
 
 The p-rank is 0.  The oracle certifies it on the matrix it builds: in the
 level-major basis the Cartier operator sends x^j y^i dx either to a lower
@@ -28,7 +34,7 @@ import numpy as np
 
 from .bounds import lower_bound_single
 from .curve import BasicCurve, domain_basis, level_exponents
-from .fppoly import Differential, FpPoly, cartier, section_after_cartier
+from .fppoly import FpPoly, cartier, section_after_cartier
 from .linalg import FpMatrix, rank_nullity
 from .numutil import check_int64_sum
 
@@ -38,7 +44,7 @@ class InvariantViolation(AssertionError):
 
 
 class KernelTuple:
-    """One line differential per level, each killed by the Cartier operator.
+    """One line differential h dx per level, each killed by the Cartier operator.
 
     Component i must also respect the level degree cap reg_bound[i]; these
     two conditions carve out the domain of the obstruction map.
@@ -63,8 +69,8 @@ class KernelTuple:
     @classmethod
     def unit(cls, curve: BasicCurve, level: int, exponent: int) -> "KernelTuple":
         """The basis tuple with x^exponent dx at the given level, 0 elsewhere."""
-        nu = [Differential.zero(curve.p) for _ in range(curve.p)]
-        nu[level] = Differential.monomial(curve.p, exponent)
+        nu = [FpPoly.zero(curve.p)] * curve.p
+        nu[level] = FpPoly.monomial(curve.p, exponent)
         return cls(curve, nu)
 
     @classmethod
@@ -81,16 +87,13 @@ class KernelTuple:
             coeffs = [0] * (curve.reg_bound[i] + 1 if polys[i] else 0)
             for j, c in polys[i].items():
                 coeffs[j] = c
-            nu.append(Differential(FpPoly(curve.p, coeffs)))
+            nu.append(FpPoly(curve.p, coeffs))
         return cls(curve, nu)
 
     def __add__(self, other):
         if not isinstance(other, KernelTuple) or other.curve is not self.curve:
             return NotImplemented
         return KernelTuple(self.curve, [a + b for a, b in zip(self.nu, other.nu)])
-
-    def scale(self, c: int) -> "KernelTuple":
-        return KernelTuple(self.curve, [w.scale(c) for w in self.nu])
 
     def __eq__(self, other):
         return (
@@ -101,7 +104,7 @@ class KernelTuple:
 
 
 class CoverDifferential:
-    """A differential on the cover, stored as its tuple of y-power components."""
+    """A differential on the cover: omega[i] is the h of its h y^i dx component."""
 
     __slots__ = ("curve", "omega")
 
@@ -122,7 +125,7 @@ class CoverDifferential:
     def __str__(self):
         parts = []
         for i in range(self.curve.p - 1, -1, -1):
-            h = self.omega[i].h
+            h = self.omega[i]
             if h.is_zero:
                 continue
             y = "" if i == 0 else (" y" if i == 1 else f" y^{i}")
@@ -131,12 +134,19 @@ class CoverDifferential:
 
 
 def _neg_f_powers(curve: BasicCurve) -> list[np.ndarray]:
-    """Coefficient arrays of (-f)^e for e = 0 .. p-1."""
-    neg = -curve.f
-    powers = [FpPoly.one(curve.p)]
-    for _ in range(1, curve.p):
-        powers.append(powers[-1] * neg)
-    return [np.array(g.coeffs, dtype=np.int64) for g in powers]
+    """Coefficient arrays of (-f)^e mod p for e = 0 .. p-1.
+
+    Each product entry sums at most len(f) terms below p^2, checked before
+    anything is built; the same bound covers the products of a reduced
+    binomial with a table entry in both matrix builds.
+    """
+    p = curve.p
+    check_int64_sum(len(curve.f.coeffs), (p - 1) ** 2, "(-f)^e table")
+    neg = -np.array(curve.f.coeffs, dtype=np.int64) % p
+    powers = [np.ones(1, dtype=np.int64)]
+    for _ in range(1, p):
+        powers.append(np.convolve(powers[-1], neg) % p)
+    return powers
 
 
 def reconstruct(curve: BasicCurve, v: KernelTuple) -> CoverDifferential:
@@ -147,20 +157,23 @@ def reconstruct(curve: BasicCurve, v: KernelTuple) -> CoverDifferential:
     the higher components multiplied by powers of -f.
     """
     p = curve.p
-    negf = [FpPoly(p, g.tolist()) for g in _neg_f_powers(curve)]
+    neg = -curve.f
+    negf = [FpPoly.one(p)]
+    for _ in range(1, p):
+        negf.append(negf[-1] * neg)
     omega: list = [None] * p
     omega[p - 1] = v.nu[p - 1]
     for t in range(p - 2, -1, -1):
         acc = FpPoly.zero(p)
         for src in range(t + 1, p):
-            h = omega[src].h
+            h = omega[src]
             if h.is_zero:
                 continue
             scale = math.comb(src, t) % p
             if scale == 0:
                 continue
             acc = acc + h * negf[src - t] * scale
-        omega[t] = v.nu[t] + section_after_cartier(Differential(-acc))
+        omega[t] = v.nu[t] + section_after_cartier(-acc)
     return CoverDifferential(curve, omega)
 
 
@@ -179,7 +192,7 @@ def obstruction_vector(curve: BasicCurve, v: KernelTuple) -> tuple[int, ...]:
     out = []
     for i in range(curve.p):
         s = curve.slot_start[i]
-        h = w.omega[i].h
+        h = w.omega[i]
         out.extend(h.coeff(s + u * curve.p) for u in range(curve.slot_count[i]))
     return tuple(out)
 

@@ -7,7 +7,6 @@ endpoints have denominator dividing p^2), never on floats, so there is no
 rounding near integer boundaries.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -105,8 +104,3 @@ def brute_force_block_count(p: int, d: int, i: int, j: int) -> int:
     _check_pair(p, d, i, j)
     t = threshold(p, d, i, j)
     return sum(1 for n in range(p, i * d + 1, p) if n > t)
-
-
-def hermite_floor_sum(x: Fraction, n: int) -> int:
-    """Right side of Hermite's identity: sum of floor(x + i/n) for i < n."""
-    return sum(math.floor(x + Fraction(i, n)) for i in range(n))

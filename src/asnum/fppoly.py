@@ -1,22 +1,20 @@
-"""Dense polynomials over F_p and polynomial differentials h(x) dx on the line.
+"""Dense polynomials over F_p and the Cartier operator on the line.
 
 Coefficients are stored by exponent and kept trimmed, so the last entry is
 nonzero whenever the polynomial is nonzero; the zero polynomial has an empty
-coefficient tuple and degree -inf.  The base field is always the prime field,
-so the p-th power map on coefficients is the identity and the semilinear
-twists of the Cartier operator and of its right inverse disappear.
+coefficient tuple and degree -inf.  Arithmetic is on Python ints, so every
+product is exact for any p.  A differential h(x) dx on the line is
+represented by its polynomial h alone: the Cartier operator and its right
+inverse take and return h.  The base field is always the prime field, so
+the p-th power map on coefficients is the identity and the semilinear twists
+of both operators disappear.
 """
 
-import math
 import re
 
-import numpy as np
-
-from .numutil import check_int64_sum, is_prime
+from .numutil import is_prime
 
 NEG_INF = float("-inf")
-
-_CONVOLVE_CUTOFF = 16
 
 
 class PolyParseError(ValueError):
@@ -70,14 +68,6 @@ class FpPoly:
             return self.coeffs[exponent]
         return 0
 
-    def shift(self, k: int) -> "FpPoly":
-        """Multiply by x^k."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        if self.is_zero:
-            return self
-        return FpPoly(self.p, (0,) * k + self.coeffs)
-
     def __eq__(self, other):
         return (
             isinstance(other, FpPoly)
@@ -115,11 +105,6 @@ class FpPoly:
         if self.is_zero or other.is_zero:
             return FpPoly.zero(self.p)
         a, b = self.coeffs, other.coeffs
-        if min(len(a), len(b)) > _CONVOLVE_CUTOFF:
-            # each output coefficient sums at most min(len) products below p^2
-            check_int64_sum(min(len(a), len(b)), (self.p - 1) ** 2, "polynomial product")
-            out = np.convolve(np.array(a, np.int64), np.array(b, np.int64))
-            return FpPoly(self.p, (out % self.p).tolist())
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
@@ -199,93 +184,36 @@ def parse_poly(text: str, p: int) -> FpPoly:
     return FpPoly(p, out)
 
 
-class Differential:
-    """A polynomial differential h(x) dx on the projective line."""
-
-    __slots__ = ("h",)
-
-    def __init__(self, h: FpPoly):
-        self.h = h
-
-    @classmethod
-    def zero(cls, p: int) -> "Differential":
-        return cls(FpPoly.zero(p))
-
-    @classmethod
-    def monomial(cls, p: int, exponent: int, coeff: int = 1) -> "Differential":
-        return cls(FpPoly.monomial(p, exponent, coeff))
-
-    @property
-    def p(self) -> int:
-        return self.h.p
-
-    @property
-    def degree(self):
-        return self.h.degree
-
-    @property
-    def is_zero(self) -> bool:
-        return self.h.is_zero
-
-    def __eq__(self, other):
-        return isinstance(other, Differential) and self.h == other.h
-
-    def __hash__(self):
-        return hash(("dx", self.h))
-
-    def __add__(self, other):
-        if not isinstance(other, Differential):
-            return NotImplemented
-        return Differential(self.h + other.h)
-
-    def __sub__(self, other):
-        if not isinstance(other, Differential):
-            return NotImplemented
-        return Differential(self.h - other.h)
-
-    def __neg__(self):
-        return Differential(-self.h)
-
-    def scale(self, c: int) -> "Differential":
-        return Differential(self.h * c)
-
-    def __str__(self):
-        return f"({self.h}) dx"
-
-    __repr__ = __str__
-
-
-def cartier(w: Differential) -> Differential:
-    """Cartier operator on polynomial differentials of the line.
+def cartier(h: FpPoly) -> FpPoly:
+    """Cartier operator on the line, acting on the h of a differential h dx.
 
     A term x^j dx survives exactly when j = -1 (mod p), and is sent to
     x^((j+1)/p - 1) dx; all other terms die.  Over the prime field the
     coefficientwise p-th root is the identity.
     """
-    p = w.p
-    return Differential(FpPoly(p, w.h.coeffs[p - 1 :: p]))
+    return FpPoly(h.p, h.coeffs[h.p - 1 :: h.p])
 
 
-def section(w: Differential) -> Differential:
-    """Right inverse of the Cartier operator: x^j dx -> x^(p(j+1)-1) dx."""
-    p = w.p
-    out = [0] * (p * len(w.h.coeffs))
-    for j, c in enumerate(w.h.coeffs):
+def section(h: FpPoly) -> FpPoly:
+    """Right inverse of the Cartier operator on h: x^j dx -> x^(p(j+1)-1) dx."""
+    p = h.p
+    out = [0] * (p * len(h.coeffs))
+    for j, c in enumerate(h.coeffs):
         out[p * (j + 1) - 1] = c
-    return Differential(FpPoly(p, out))
+    return FpPoly(p, out)
 
 
-def section_after_cartier(w: Differential) -> Differential:
+def section_after_cartier(h: FpPoly) -> FpPoly:
     """Compose section with cartier: keep exactly the terms x^j dx, j = -1 (mod p).
 
-    This projects onto the complement of the Cartier kernel; it is what one
-    application of section-after-cartier leaves of a differential.
+    This projects h dx onto the complement of the Cartier kernel; it is what
+    one application of section-after-cartier leaves of a differential.
     """
-    p = w.p
-    out = [0] * len(w.h.coeffs)
+    p = h.p
+    out = [0] * len(h.coeffs)
     for j in range(p - 1, len(out), p):
-        out[j] = w.h.coeffs[j]
-    return Differential(FpPoly(p, out))
+        out[j] = h.coeffs[j]
+    return FpPoly(p, out)
 
 
 def normalize_artin_schreier(f: FpPoly) -> FpPoly:

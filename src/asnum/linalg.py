@@ -26,14 +26,6 @@ class FpMatrix:
         self.p = p
         self.a = a % p
 
-    @classmethod
-    def zeros(cls, p: int, rows: int, cols: int) -> "FpMatrix":
-        return cls(p, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, p: int, n: int) -> "FpMatrix":
-        return cls(p, np.eye(n, dtype=np.int64))
-
     @property
     def rows(self) -> int:
         return self.a.shape[0]

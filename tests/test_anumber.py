@@ -16,6 +16,7 @@ from asnum.anumber import (
     InvariantViolation,
     KernelTuple,
     _certified_p_rank,
+    _neg_f_powers,
     a_number_fast,
     a_number_oracle,
     cartier_matrix,
@@ -29,7 +30,7 @@ from asnum.anumber import (
 from asnum.bounds import lower_bound_single
 from asnum.curve import BasicCurve, domain_basis
 from asnum.families import minimal_family
-from asnum.fppoly import Differential, FpPoly, cartier, parse_poly, section_after_cartier
+from asnum.fppoly import FpPoly, cartier, parse_poly, section_after_cartier
 from asnum.linalg import FpMatrix, rank_nullity
 from asnum.experiments import sample_poly
 from asnum.numutil import HeadroomError
@@ -54,8 +55,8 @@ class TestWorkedExampleD11:
 
     def test_gamma_of_unit_1_3(self):
         w = reconstruct(self.curve, KernelTuple.unit(self.curve, 1, 3))
-        assert w.omega[1] == Differential.monomial(5, 3)
-        assert w.omega[0] == Differential.monomial(5, 14)
+        assert w.omega[1] == FpPoly.monomial(5, 3)
+        assert w.omega[0] == FpPoly.monomial(5, 14)
         assert w.omega[2].is_zero and w.omega[3].is_zero and w.omega[4].is_zero
         assert not is_regular(self.curve, w)
 
@@ -78,7 +79,7 @@ class TestReconstruct:
             c = make(p, text)
             for j in (0, 1):
                 w = reconstruct(c, KernelTuple.unit(c, 0, j))
-                assert w.omega[0] == Differential.monomial(p, j)
+                assert w.omega[0] == FpPoly.monomial(p, j)
                 assert all(w.omega[i].is_zero for i in range(1, p))
 
     def test_p3_closed_recursion(self):
@@ -89,11 +90,9 @@ class TestReconstruct:
             c = random_curve(3, 8, rng)
             v = random_kernel_tuple(c, rng)
             w = reconstruct(c, v)
-            h0, h1 = v.nu[0].h, v.nu[1].h
-            assert w.omega[1].h == h1
-            assert w.omega[0].h == (
-                h0 + section_after_cartier(Differential(h1 * c.f)).h
-            )
+            h0, h1 = v.nu[:2]
+            assert w.omega[1] == h1
+            assert w.omega[0] == h0 + section_after_cartier(h1 * c.f)
             assert w.omega[2].is_zero
 
     def test_linearity(self):
@@ -116,7 +115,7 @@ class TestReconstruct:
             for _ in range(10):
                 w = reconstruct(c, random_kernel_tuple(c, rng))
                 for i in range(p):
-                    h = w.omega[i].h
+                    h = w.omega[i]
                     assert h.degree <= c.comp_bound[i]
                     # above reg_bound only slot exponents may carry coefficients
                     for e in range(max(c.reg_bound[i] + 1, 0), len(h.coeffs)):
@@ -200,6 +199,15 @@ class TestObstructionMap:
         with pytest.raises(HeadroomError, match="obstruction build"):
             obstruction_matrix(big)
 
+    def test_power_table_headroom_checked_before_building(self, monkeypatch):
+        # p = 2^32 + 15: one product of two residues passes 2^63; with numpy
+        # unavailable, any array built before the guard fails differently
+        p = 2**32 + 15
+        big = SimpleNamespace(p=p, f=FpPoly(p, (1, 1)))
+        monkeypatch.setattr(asnum.anumber, "np", None)
+        with pytest.raises(HeadroomError, match=r"\(-f\)\^e table"):
+            _neg_f_powers(big)
+
     def test_shapes_on_degenerate_curves(self):
         c = make(3, "x^2")
         assert obstruction_matrix(c).a.shape == (1, 1)
@@ -210,9 +218,9 @@ class TestObstructionMap:
 
 
 @st.composite
-def small_covers(draw):
-    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
-    d = draw(st.integers(1, 40).filter(lambda d: d % p))
+def small_covers(draw, primes=(2, 3, 5, 7, 11, 13), dmax=40):
+    p = draw(st.sampled_from(primes))
+    d = draw(st.integers(1, dmax).filter(lambda d: d % p))
     coeffs = draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
     lead = draw(st.integers(1, p - 1))
     return BasicCurve.from_poly(p, FpPoly(p, coeffs + [lead]))
@@ -224,6 +232,42 @@ def test_fast_equals_oracle_within_bounds(c):
     a = a_number_fast(c)
     assert a == a_number_oracle(c)
     assert lower_bound_single(c.p, c.d) <= a <= c.genus
+
+
+def compose_affine(f: FpPoly, alpha: int, beta: int) -> FpPoly:
+    """f(alpha x + beta), by Horner's rule in FpPoly arithmetic."""
+    line = FpPoly(f.p, (beta, alpha))
+    out = FpPoly.zero(f.p)
+    for c in reversed(f.coeffs):
+        out = out * line + FpPoly(f.p, (c,))
+    return out
+
+
+# p = 2 is left out below: its only unit is 1, so it has no scaling and
+# no substitution but x -> x + 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_covers(primes=(3, 5, 7, 11, 13), dmax=30), st.data())
+def test_fast_invariant_under_affine_substitution(c, data):
+    # x -> alpha x + beta is an automorphism of the line fixing infinity
+    alpha = data.draw(st.integers(1, c.p - 1), label="alpha")
+    beta = data.draw(st.integers(1 if alpha == 1 else 0, c.p - 1), label="beta")
+    moved = BasicCurve.from_poly(c.p, compose_affine(c.f, alpha, beta))
+    assert a_number_fast(moved) == a_number_fast(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_covers(primes=(3, 5, 7, 11, 13), dmax=30), st.data())
+def test_fast_invariant_under_scaling(c, data):
+    # y -> u y carries y^p - y = f to y^p - y = u f since u^p = u; on the
+    # basis x^j y^i dx the Cartier matrix becomes diag(u^-t) M diag(u^i),
+    # with the same nullity but other entries.  A matrix entry is homogeneous
+    # of degree i - t in the coefficients of f, and a shifted index keeps
+    # that, so this catches what breaks it, such as assuming f monic
+    u = data.draw(st.integers(2, c.p - 1), label="u")
+    scaled = BasicCurve.from_poly(c.p, c.f * u)
+    assert a_number_fast(scaled) == a_number_fast(c)
 
 
 class TestANumbers:
@@ -260,7 +304,9 @@ class TestANumbers:
             m = cartier_matrix(c).a
             sizes = [max(b + 1, 0) for b in c.reg_bound]
             starts = [sum(sizes[:i]) for i in range(p)]
-            powers = [(-c.f) ** e for e in range(p)]
+            powers = [FpPoly.one(p)]
+            for _ in range(1, p):
+                powers.append(powers[-1] * -c.f)
             for i in range(p):
                 for j in range(sizes[i]):
                     column = m[:, starts[i] + j]
@@ -269,7 +315,7 @@ class TestANumbers:
                         want = [0] * sizes[t]
                         if t <= i:
                             x_j = FpPoly.monomial(p, j)
-                            image = cartier(Differential(x_j * powers[i - t])).h
+                            image = cartier(x_j * powers[i - t])
                             image = image * math.comb(i, t)
                             assert image.degree <= c.reg_bound[t], (p, d, i, j, t)
                             want[: len(image.coeffs)] = image.coeffs
@@ -367,7 +413,7 @@ class TestPRankCertificate:
 
     def test_accepts_strictly_upper_triangular(self):
         assert _certified_p_rank(FpMatrix(3, [[0, 1, 2], [0, 0, 1], [0, 0, 0]])) == 0
-        assert _certified_p_rank(FpMatrix.zeros(5, 0, 0)) == 0
+        assert _certified_p_rank(FpMatrix(5, np.zeros((0, 0)))) == 0
 
     @pytest.mark.parametrize("entries", [[[0, 1], [1, 0]], [[0, 0], [0, 2]], [[0, 0], [4, 0]]])
     def test_rejects_entry_on_or_below_diagonal(self, entries):
@@ -428,15 +474,15 @@ class TestReport:
 class TestKernelTupleValidation:
     def test_rejects_non_kernel_component(self):
         c = make(5, "x^11")
-        bad = [Differential.zero(5)] * 5
-        bad[0] = Differential.monomial(5, 4)  # x^4 dx survives the Cartier operator
+        bad = [FpPoly.zero(5)] * 5
+        bad[0] = FpPoly.monomial(5, 4)  # x^4 dx survives the Cartier operator
         with pytest.raises(ValueError):
             KernelTuple(c, bad)
 
     def test_rejects_overweight_component(self):
         c = make(5, "x^11")
-        bad = [Differential.zero(5)] * 5
-        bad[1] = Differential.monomial(5, 6)  # reg_bound[1] = 5
+        bad = [FpPoly.zero(5)] * 5
+        bad[1] = FpPoly.monomial(5, 6)  # reg_bound[1] = 5
         with pytest.raises(ValueError):
             KernelTuple(c, bad)
 
@@ -447,7 +493,7 @@ class TestKernelTupleValidation:
         coords[3] = 2
         v = KernelTuple.from_coefficients(c, coords)
         i, j = basis[3]
-        assert v.nu[i] == Differential.monomial(5, j, 2)
+        assert v.nu[i] == FpPoly.monomial(5, j, 2)
 
 
 def test_cover_differential_str():

@@ -9,7 +9,6 @@ from asnum.bounds import (
     RamificationData,
     block_count,
     brute_force_block_count,
-    hermite_floor_sum,
     level_sum,
     lower_bound,
     lower_bound_p3,
@@ -167,6 +166,11 @@ def test_ceiling_identity_p3():
         c = ceil_div(d, 3)
         lhs = ceil_div(2 * d, 9) + ceil_div(c - 2, 3) + ceil_div(c - 1, 3)
         assert lhs == ceil_div(4 * d, 9), d
+
+
+def hermite_floor_sum(x: Fraction, n: int) -> int:
+    """Right side of Hermite's identity: sum of floor(x + i/n) for i < n."""
+    return sum(math.floor(x + Fraction(i, n)) for i in range(n))
 
 
 def test_hermite_identity_on_p2_denominators():
