@@ -11,6 +11,11 @@ the entry at row x^r y^t dx and column x^j y^i dx is comb(i, t) times the
 coefficient of x^(p(r+1)-1-j) in (-f)^(i-t).  The paths share only the
 table of powers (-f)^e, so their agreement is a meaningful end-to-end check.
 
+The power table and the obstruction build take a stack of polynomials of one
+degree, one row each, since every matrix shape depends only on (p, d): the
+survey engine builds a whole chunk of covers in one pass, and a single curve
+is a stack of one.
+
 Line differentials h dx are held as the FpPoly h.  The table is built with
 numpy in int64, and the builds' int64 sums are checked for headroom before
 anything is built.  reconstruct, the column reference for the fast build,
@@ -133,20 +138,41 @@ class CoverDifferential:
         return " + ".join(parts) if parts else "0"
 
 
-def _neg_f_powers(curve: BasicCurve) -> list[np.ndarray]:
-    """Coefficient arrays of (-f)^e mod p for e = 0 .. p-1.
+def _neg_f_power_stack(p: int, coeffs) -> list[np.ndarray]:
+    """(N, e*(L-1) + 1) arrays of (-f)^e mod p for e = 0 .. p-1, one row per f.
 
-    Each product entry sums at most len(f) terms below p^2, checked before
-    anything is built; the same bound covers the products of a reduced
-    binomial with a table entry in both matrix builds.
+    ``coeffs`` holds N coefficient rows of one length L.  Each product entry
+    sums at most L terms below p^2, checked before anything is built; the
+    same bound covers the products of a reduced binomial with a table entry
+    in both matrix builds.  Each power is one shifted add per coefficient
+    column of f that is nonzero in some row, or one np.convolve per row when
+    there are fewer rows than such columns, as for a single large curve.
     """
-    p = curve.p
-    check_int64_sum(len(curve.f.coeffs), (p - 1) ** 2, "(-f)^e table")
-    neg = -np.array(curve.f.coeffs, dtype=np.int64) % p
-    powers = [np.ones(1, dtype=np.int64)]
+    check_int64_sum(len(coeffs[0]), (p - 1) ** 2, "(-f)^e table")
+    neg = -np.asarray(coeffs, dtype=np.int64) % p
+    n, length = neg.shape
+    cols = np.flatnonzero(neg.any(axis=0)).tolist()
+    if n < len(cols):
+        per_row = []
+        for f in neg:
+            row = [np.ones(1, dtype=np.int64)]
+            for _ in range(1, p):
+                row.append(np.convolve(row[-1], f) % p)
+            per_row.append(row)
+        return [np.array(power) for power in zip(*per_row)]
+    powers = [np.ones((n, 1), dtype=np.int64)]
     for _ in range(1, p):
-        powers.append(np.convolve(powers[-1], neg) % p)
+        prev = powers[-1]
+        nxt = np.zeros((n, prev.shape[1] + length - 1), dtype=np.int64)
+        for k in cols:
+            nxt[:, k : k + prev.shape[1]] += neg[:, k, None] * prev
+        powers.append(nxt % p)
     return powers
+
+
+def _neg_f_powers(curve: BasicCurve) -> list[np.ndarray]:
+    """Coefficient arrays of (-f)^e mod p for e = 0 .. p-1: a stack of one."""
+    return [g[0] for g in _neg_f_power_stack(curve.p, [curve.f.coeffs])]
 
 
 def reconstruct(curve: BasicCurve, v: KernelTuple) -> CoverDifferential:
@@ -201,52 +227,65 @@ def obstruction_matrix(curve: BasicCurve) -> FpMatrix:
     """Matrix of the obstruction map over the kernel-tuple basis.
 
     Columns follow domain_basis order; rows are obstruction slots,
-    level-major then exponent ascending.  Below its top level a reconstructed
+    level-major then exponent ascending.  Built as a stack of one by
+    obstruction_stack; columnwise agreement with obstruction_vector is
+    covered by tests.
+    """
+    return FpMatrix(curve.p, obstruction_stack(curve)[0])
+
+
+def obstruction_stack(curve: BasicCurve, coeffs=None) -> np.ndarray:
+    """Obstruction matrices of the covers y^p - y = f, f the rows of ``coeffs``.
+
+    The rows are polynomials of degree curve.d over F_p, by default curve.f
+    alone; the matrix shape depends only on (p, d), so ``curve`` supplies it
+    and the result is an (N, dim_obstruction, dim_domain) int64 stack, the
+    same arithmetic for every row.  Below its top level a reconstructed
     component lives on exponents = -1 (mod p) only, so level t is stored
     compressed: row u stands for exponent p*u + p - 1.  One downward sweep
-    t = p-2 .. 0 covers every basis column at once; at level t it touches only
-    the columns whose top level is above t.  A source level src adds
+    t = p-2 .. 0 covers every basis column at once; at level t it touches
+    only the columns whose top level is above t.  A source level src adds
     comb(src, t) * omega[src] * g with g = (-f)^(src-t) in two parts: the
     unit monomials x^j of the columns topped at src are one gather
     g[p*u + p - 1 - j], and the compressed components of the higher columns
     are a shifted-add convolution with g[::p] alone, since only exponents
     divisible by p move -1 (mod p) onto itself.  The obstruction rows of
-    level t are then a slice of its compressed block.  Columnwise agreement
-    with obstruction_vector is covered by tests.
+    level t are then a slice of its compressed block.
     """
     p = curve.p
     rows = [max((c - (p - 1)) // p + 1, 0) for c in curve.comp_bound]
     # per entry, each source adds at most rows[t] <= rows[0] products below p^2
     check_int64_sum((p - 1) * rows[0], (p - 1) ** 2, "obstruction build")
-    negf = _neg_f_powers(curve)
+    negf = _neg_f_power_stack(p, [curve.f.coeffs] if coeffs is None else coeffs)
+    n = negf[0].shape[0]
     exps = [np.array(level_exponents(curve, i), dtype=np.int64) for i in range(p)]
     col = list(accumulate((len(e) for e in exps), initial=0))
-    mat = np.zeros((curve.dim_obstruction, curve.dim_domain), dtype=np.int64)
+    mat = np.zeros((n, curve.dim_obstruction, curve.dim_domain), dtype=np.int64)
     # comp[t]: compressed level-t components of the columns col[t+1]: onwards
-    comp = [np.zeros((0, 0), dtype=np.int64)] * p
+    comp = [np.zeros((n, 0, 0), dtype=np.int64)] * p
     row = list(accumulate(curve.slot_count, initial=0))
     for t in range(p - 2, -1, -1):
         base = col[t + 1]
-        acc = np.zeros((rows[t], col[p] - base), dtype=np.int64)
+        acc = np.zeros((n, rows[t], col[p] - base), dtype=np.int64)
         for src in range(t + 1, p):
             g = math.comb(src, t) % p * negf[src - t] % p
             if len(exps[src]):
                 idx = p * np.arange(rows[t])[:, None] + (p - 1) - exps[src]
-                ok = (idx >= 0) & (idx < len(g))
-                block = acc[:, col[src] - base : col[src + 1] - base]
-                block[ok] += g[idx[ok]]
+                ok = (idx >= 0) & (idx < g.shape[1])
+                block = np.take(g, np.where(ok, idx, 0), axis=1) * ok
+                acc[:, :, col[src] - base : col[src + 1] - base] += block
             w = comp[src]
             if w.size:
-                n = w.shape[0]
-                sub = acc[:, col[src + 1] - base :]
-                gp = g[::p]
-                for k in np.flatnonzero(gp).tolist():
-                    sub[k : k + n] += int(gp[k]) * w
+                m = w.shape[1]
+                sub = acc[:, :, col[src + 1] - base :]
+                gp = g[:, ::p]
+                for k in np.flatnonzero(gp.any(axis=0)).tolist():
+                    sub[:, k : k + m] += gp[:, k, None, None] * w
         comp[t] = (-acc) % p
         if curve.slot_count[t]:
             u = (curve.slot_start[t] - (p - 1)) // p
-            mat[row[t] : row[t + 1], base:] = comp[t][u : u + curve.slot_count[t]]
-    return FpMatrix(p, mat)
+            mat[:, row[t] : row[t + 1], base:] = comp[t][:, u : u + curve.slot_count[t]]
+    return mat
 
 
 def a_number_fast(curve: BasicCurve) -> int:

@@ -9,9 +9,16 @@ statistical, not exact.
 Every sample gets its own generator seeded from (master seed, sample index),
 so tallies are bit-for-bit reproducible and independent of how samples are
 distributed over worker processes.
+
+The survey engine, _a_numbers, works on chunks: (N, d+1) arrays of
+coefficient rows, drawn or enumerated in index order.  The obstruction
+matrix has a shape fixed by (p, d), so a chunk is checked for normalization
+with one vectorized test, built as one obstruction stack and ranked by one
+stacked elimination; no FpPoly or BasicCurve is made per sample.  A chunk
+holds at most CHUNK_ROWS samples and CHUNK_CELLS matrix cells, so memory
+stays flat for any n, and chunk boundaries change no result.
 """
 
-import itertools
 import json
 import os
 import time
@@ -21,15 +28,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anumber import a_number_fast
+from .anumber import obstruction_stack
 from .bounds import lower_bound_single
 from .curve import BasicCurve
 from .fppoly import FpPoly
+from .linalg import stack_ranks
 from .numutil import check_degree
 
 SCHEMA_VERSION = 1
 
 DEFAULT_EXHAUSTIVE_CAP = 10**6
+
+# An engine chunk holds at most CHUNK_ROWS samples and CHUNK_CELLS
+# obstruction-matrix cells (8 MB of int64 per stack).  On 12x12 and 18x18
+# matrices 128 samples amortize the per-chunk numpy calls, and more only
+# raised the peak RSS; matrices of a few hundred rows gain from chunks of
+# several samples up to the cell cap.
+CHUNK_ROWS = 128
+CHUNK_CELLS = 2**20
 
 
 class SearchSpaceError(ValueError):
@@ -51,22 +67,31 @@ def _rng_for(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
 
 
-def sample_poly(p: int, d: int, rng: np.random.Generator) -> FpPoly:
-    """One uniform normalized polynomial of degree d.
+def _draw(p: int, d: int, rngs) -> np.ndarray:
+    """One uniform normalized degree-d coefficient row per generator, (N, d+1).
 
-    The leading coefficient is drawn first (uniform over nonzero residues),
-    then the free slots in increasing exponent order; keep this order fixed
-    or reproducibility breaks.
+    Each generator draws the leading coefficient first (uniform over nonzero
+    residues), then the free slots in increasing exponent order; keep this
+    order fixed or reproducibility breaks.
     """
-    check_degree(p, d)
-    coeffs = [0] * (d + 1)
-    coeffs[d] = int(rng.integers(1, p))
     free = free_exponents(p, d)
+    leads = []
+    tails = []
+    for rng in rngs:
+        leads.append(rng.integers(1, p))
+        if free:
+            tails.append(rng.integers(0, p, size=len(free)))
+    rows = np.zeros((len(leads), d + 1), dtype=np.int64)
+    rows[:, d] = leads
     if free:
-        vals = rng.integers(0, p, size=len(free))
-        for e, v in zip(free, vals):
-            coeffs[e] = int(v)
-    return FpPoly(p, coeffs)
+        rows[:, free] = tails
+    return rows
+
+
+def sample_poly(p: int, d: int, rng: np.random.Generator) -> FpPoly:
+    """One uniform normalized polynomial of degree d: a one-row draw."""
+    check_degree(p, d)
+    return FpPoly(p, _draw(p, d, [rng])[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -162,33 +187,70 @@ class Distribution:
         )
 
 
-def _random_polys(p: int, d: int, seed: int, lo: int, hi: int):
-    """The seeded samples with indices lo <= index < hi, in index order."""
-    for index in range(lo, hi):
-        yield sample_poly(p, d, _rng_for(seed, index))
+def _shape(p: int, d: int) -> BasicCurve:
+    """The cover y^p - y = x^d: its derived data is that of every degree-d cover."""
+    return BasicCurve.from_poly(p, FpPoly.monomial(p, d))
 
 
-def _all_polys(p: int, d: int):
-    """Every normalized degree-d polynomial, by leading coefficient, then free slots in order."""
+def _chunk_rows(p: int, d: int) -> int:
+    """Samples per engine chunk: within CHUNK_ROWS and CHUNK_CELLS, at least one."""
+    shape = _shape(p, d)
+    cells = max(1, shape.dim_obstruction * shape.dim_domain)
+    return max(1, min(CHUNK_ROWS, CHUNK_CELLS // cells))
+
+
+def _random_chunks(p: int, d: int, seed: int, lo: int, hi: int):
+    """The seeded samples with indices lo <= index < hi, in index order, as chunks."""
+    size = _chunk_rows(p, d)
+    for start in range(lo, hi, size):
+        stop = min(start + size, hi)
+        yield _draw(p, d, (_rng_for(seed, index) for index in range(start, stop)))
+
+
+def _all_chunks(p: int, d: int):
+    """Every normalized degree-d polynomial as chunks, in enumeration order.
+
+    Candidate k is the mixed-radix number (leading coefficient - 1, then the
+    free slots in increasing exponent order), the last slot varying fastest.
+    """
     free = free_exponents(p, d)
-    for lead in range(1, p):
-        for tail in itertools.product(range(p), repeat=len(free)):
-            coeffs = [0] * (d + 1)
-            coeffs[d] = lead
-            for e, c in zip(free, tail):
-                coeffs[e] = c
-            yield FpPoly(p, coeffs)
+    total = sample_space_size(p, d)
+    size = _chunk_rows(p, d)
+    for start in range(0, total, size):
+        k = np.arange(start, min(start + size, total), dtype=np.int64)
+        rows = np.zeros((len(k), d + 1), dtype=np.int64)
+        for e in reversed(free):
+            k, rows[:, e] = np.divmod(k, p)
+        rows[:, d] = k + 1
+        yield rows
 
 
-def _a_numbers(p: int, polys):
-    """The survey engine: (f, a-number of y^p - y = f) for each candidate f."""
-    for f in polys:
-        yield f, a_number_fast(BasicCurve.from_poly(p, f))
+def _a_numbers(p: int, d: int, chunks):
+    """The survey engine: (rows, a-numbers) for each chunk of coefficient rows.
+
+    Each chunk is an (N, d+1) int64 array of normalized polynomials f of
+    degree d; its a-numbers are those of the covers y^p - y = f, as an
+    int64 array of length N.  Raises ValueError on a row that is not
+    normalized with degree d.
+    """
+    shape = _shape(p, d)
+    for rows in chunks:
+        if (
+            rows.shape[1] != d + 1
+            or ((rows < 0) | (rows >= p)).any()
+            or not rows[:, d].all()
+            or rows[:, ::p].any()
+        ):
+            raise ValueError(f"rows are not normalized polynomials of degree {d} mod {p}")
+        yield rows, shape.dim_domain - stack_ranks(obstruction_stack(shape, rows), p)
 
 
 def _tally_range(args) -> Counter:
     p, d, seed, lo, hi = args
-    return Counter(a for _, a in _a_numbers(p, _random_polys(p, d, seed, lo, hi)))
+    counts = Counter()
+    for _, a in _a_numbers(p, d, _random_chunks(p, d, seed, lo, hi)):
+        counts.update(a.tolist())
+    return counts
 
 
 def distribution(
@@ -210,10 +272,10 @@ def distribution(
     if threads <= 1:
         counts = _tally_range((p, d, seed, 0, n_samples))
     else:
-        chunk = max(1, -(-n_samples // (4 * threads)))
+        per_job = max(1, -(-n_samples // (4 * threads)))
         jobs = [
-            (p, d, seed, lo, min(lo + chunk, n_samples))
-            for lo in range(0, n_samples, chunk)
+            (p, d, seed, lo, min(lo + per_job, n_samples))
+            for lo in range(0, n_samples, per_job)
         ]
         counts = Counter()
         with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -242,15 +304,17 @@ class SearchResult:
     candidates_tested: int
 
 
-def _search(p: int, d: int, polys, exhaustive: bool) -> SearchResult:
+def _search(p: int, d: int, chunks, exhaustive: bool) -> SearchResult:
     """Minimum a-number over the candidates; the first to attain it is the witness."""
     best_a = None
     witness = None
     tested = 0
-    for f, a in _a_numbers(p, polys):
-        tested += 1
-        if best_a is None or a < best_a:
-            best_a, witness = a, f
+    for rows, a in _a_numbers(p, d, chunks):
+        tested += len(a)
+        first = int(a.argmin())
+        if best_a is None or a[first] < best_a:
+            best_a, witness = int(a[first]), rows[first]
+    witness = FpPoly(p, witness.tolist())
     return SearchResult(
         p=p, d=d, min_a=best_a, witness=witness, exhaustive=exhaustive, candidates_tested=tested
     )
@@ -268,7 +332,7 @@ def min_a_exhaustive(p: int, d: int, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> Searc
             f"search space has {total} candidates, above the cap of {cap}; "
             f"use min_a_random instead"
         )
-    return _search(p, d, _all_polys(p, d), exhaustive=True)
+    return _search(p, d, _all_chunks(p, d), exhaustive=True)
 
 
 def min_a_random(p: int, d: int, n_samples: int, seed: int) -> SearchResult:
@@ -278,4 +342,4 @@ def min_a_random(p: int, d: int, n_samples: int, seed: int) -> SearchResult:
         raise ValueError("n_samples must be at least 1")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    return _search(p, d, _random_polys(p, d, seed, 0, n_samples), exhaustive=False)
+    return _search(p, d, _random_chunks(p, d, seed, 0, n_samples), exhaustive=False)

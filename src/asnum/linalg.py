@@ -5,11 +5,17 @@ the rank (its pivot count) and the kernel (back-substitution on its
 row-echelon form).  The matrices in this package stay at most a few thousand
 square, so exactness and simplicity win over asymptotics.  All mod-p
 reductions are on integers, never floats.
+
+stack_ranks is a second, independent elimination for the survey engine: it
+ranks a whole stack of small matrices at once, so numpy's per-call cost is
+paid per column of the stack instead of per column of every matrix.  On a
+single matrix it is slower than _echelon, so rank_nullity and kernel_basis
+keep _echelon.
 """
 
 import numpy as np
 
-from .numutil import is_prime
+from .numutil import check_int64_sum, is_prime
 
 
 class FpMatrix:
@@ -52,6 +58,8 @@ def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     Forward elimination only: clearing above the pivots as well would cost
     the rank a full reduction it does not need.
     """
+    # a scaled row and a row minus a multiple stay within (p-1)^2 in magnitude
+    check_int64_sum(1, (p - 1) ** 2, "elimination")
     a = a.copy()
     rows, cols = a.shape
     pivots: list[int] = []
@@ -73,6 +81,45 @@ def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             a[sel, c:] = (a[sel, c:] - np.outer(a[sel, c], a[r, c:])) % p
         pivots.append(c)
     return a, pivots
+
+
+def stack_ranks(a: np.ndarray, p: int) -> np.ndarray:
+    """Ranks of the matrices a[k] of an (N, rows, cols) stack of residues mod p.
+
+    Eliminates in place, column by column for the whole stack: each matrix
+    picks its first nonzero row among those not yet used as pivots (masked
+    argmax), retires it through the free mask instead of swapping it up, and
+    clears that column from its other free rows by cross-multiplication,
+    lead * row - row[c] * pivot_row, which needs no inverse.  Only the union
+    over the stack of rows that need clearing is touched.
+    """
+    # both products and their difference stay within (p-1)^2 in magnitude
+    check_int64_sum(1, (p - 1) ** 2, "stacked elimination")
+    n, rows, cols = a.shape
+    ranks = np.zeros(n, dtype=np.int64)
+    free = np.ones((n, rows), dtype=bool)
+    at = np.arange(n)
+    for c in range(cols):
+        cand = free & (a[:, :, c] != 0)
+        has = cand.any(axis=1)
+        if not has.any():
+            continue
+        piv = cand.argmax(axis=1)
+        ranks += has
+        free[at[has], piv[has]] = False
+        cand &= free
+        need = np.flatnonzero(cand.any(axis=0))
+        if need.size == 0:
+            continue
+        prow = a[at, piv, c:]
+        lead = np.where(has, prow[:, 0], 1)
+        block = a[:, need, c:]
+        fac = block[:, :, 0] * cand[:, need]
+        block *= lead[:, None, None]
+        block -= fac[:, :, None] * prow[:, None, :]
+        block %= p
+        a[:, need, c:] = block
+    return ranks
 
 
 def rank_nullity(m: FpMatrix) -> tuple[int, int]:

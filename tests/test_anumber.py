@@ -1,5 +1,6 @@
 """a-number computations: worked example, dual-method agreement, invariants."""
 
+import dataclasses
 import hashlib
 import math
 from types import SimpleNamespace
@@ -218,9 +219,9 @@ class TestObstructionMap:
 
 
 @st.composite
-def small_covers(draw, primes=(2, 3, 5, 7, 11, 13), dmax=40):
+def small_covers(draw, primes=(2, 3, 5, 7, 11, 13), dmax=40, degree_above_p=False):
     p = draw(st.sampled_from(primes))
-    d = draw(st.integers(1, dmax).filter(lambda d: d % p))
+    d = draw(st.integers(p + 1 if degree_above_p else 1, dmax).filter(lambda d: d % p))
     coeffs = draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
     lead = draw(st.integers(1, p - 1))
     return BasicCurve.from_poly(p, FpPoly(p, coeffs + [lead]))
@@ -268,6 +269,23 @@ def test_fast_invariant_under_scaling(c, data):
     u = data.draw(st.integers(2, c.p - 1), label="u")
     scaled = BasicCurve.from_poly(c.p, c.f * u)
     assert a_number_fast(scaled) == a_number_fast(c)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_covers(dmax=30, degree_above_p=True), st.data())
+def test_fast_invariant_under_artin_schreier_shift(c, data):
+    # y -> y + h carries y^p - y = f to y^p - y = f + h^p - h.  With
+    # deg h < d/p the degree and so every derived size stay the same; the
+    # curve is rebuilt with dataclasses.replace because from_poly would
+    # normalize the shift away and hand back f itself.  120 examples: at 80,
+    # a gather index shifted by -1 in the obstruction build went unnoticed
+    # for 1 of 20 seeds
+    p, top = c.p, (c.d - 1) // c.p
+    coeffs = st.lists(st.integers(0, p - 1), min_size=top + 1, max_size=top + 1)
+    h = FpPoly(p, data.draw(coeffs.filter(lambda cs: any(cs[1:])), label="h"))
+    shifted = dataclasses.replace(c, f=c.f + h**p - h)
+    assert shifted.f.degree == c.d
+    assert a_number_fast(shifted) == a_number_fast(c)
 
 
 class TestANumbers:

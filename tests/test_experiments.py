@@ -18,8 +18,20 @@ from asnum.experiments import (
     min_a_random,
     sample_poly,
     sample_space_size,
+    _a_numbers,
+    _chunk_rows,
+    _random_chunks,
     _rng_for,
+    _shape,
 )
+from asnum.fppoly import FpPoly
+
+
+def set_chunk_rows(monkeypatch, p, d, rows):
+    """Make engine chunks at (p, d) hold `rows` samples; None keeps the default."""
+    if rows is not None:
+        monkeypatch.setattr(asnum.experiments, "CHUNK_ROWS", rows)
+        assert _chunk_rows(p, d) == rows
 
 
 class TestSampling:
@@ -169,6 +181,87 @@ class TestExhaustiveSearch:
         assert min_a_exhaustive(3, 4, cap=18).candidates_tested == 18
         with pytest.raises(SearchSpaceError):
             min_a_exhaustive(3, 4, cap=17)
+
+
+class TestEngine:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+    def test_matches_per_curve_evaluation(self, p):
+        degrees = [d for d in (1, 2, 3, 4, 5, 9, 14, 17) if d % p]
+        # the shapes include empty matrices: no obstruction rows, no domain
+        assert _shape(p, 1).dim_domain == _shape(p, 1).dim_obstruction == 0
+        for d in degrees:
+            for rows, a in _a_numbers(p, d, _random_chunks(p, d, 7 * p + d, 0, 30)):
+                expect = [
+                    a_number_fast(BasicCurve.from_poly(p, FpPoly(p, row.tolist())))
+                    for row in rows
+                ]
+                assert a.tolist() == expect, (p, d)
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_tallies_independent_of_chunk_boundaries(self, monkeypatch, rows):
+        # tallies and witness recorded with the one-cover-at-a-time engine
+        cases = [
+            ((3, 17, 300, 4), {8: 197, 9: 94, 10: 9}),
+            ((5, 11, 100, 4), {10: 84, 11: 16}),
+            ((7, 9, 40, 2), {13: 36, 14: 4}),
+        ]
+        for (p, d, n, seed), tally in cases:
+            set_chunk_rows(monkeypatch, p, d, rows)
+            assert distribution(p, d, n, seed).counts == tally, (p, d)
+        set_chunk_rows(monkeypatch, 5, 11, rows)
+        r = min_a_random(5, 11, 300, seed=2)
+        assert (r.min_a, str(r.witness), r.candidates_tested) == (
+            10,
+            "4*x^11+x^9+2*x^7+4*x^6+2*x^4+x^3+x",
+            300,
+        )
+
+    def test_chunks_respect_the_cell_cap(self, monkeypatch):
+        shape = _shape(3, 17)
+        cells = shape.dim_obstruction * shape.dim_domain
+        monkeypatch.setattr(asnum.experiments, "CHUNK_CELLS", 5 * cells + 1)
+        assert _chunk_rows(3, 17) == 5
+        assert distribution(3, 17, 300, 4).counts == {8: 197, 9: 94, 10: 9}
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [1, 1, 2, 0, 1],  # constant term
+            [0, 1, 2, 0, 0],  # degree below 4
+            [0, 1, 2, 1, 1],  # x^3, exponent divisible by p
+            [0, 3, 2, 0, 1],  # coefficient not reduced mod p
+            [0, -1, 2, 0, 1],  # negative coefficient
+        ],
+    )
+    def test_rejects_rows_not_normalized(self, row):
+        good = [0, 1, 2, 0, 2]
+        assert [a.tolist() for _, a in _a_numbers(3, 4, [np.array([good])])] == [[2]]
+        with pytest.raises(ValueError, match="not normalized"):
+            list(_a_numbers(3, 4, [np.array([good, row])]))
+
+    def test_rejects_rows_of_another_degree(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            list(_a_numbers(3, 4, [np.array([[0, 1, 2, 0, 1, 0]])]))
+
+
+class TestSearchAcrossChunks:
+    # recorded with the one-cover-at-a-time engine; with 7 samples per chunk
+    # the first candidate to attain the minimum must win over later chunks
+    @pytest.mark.parametrize("rows", [7, None])
+    def test_exhaustive_witness(self, monkeypatch, rows):
+        set_chunk_rows(monkeypatch, 3, 10, rows)
+        r = min_a_exhaustive(3, 10)
+        assert (r.min_a, str(r.witness), r.candidates_tested) == (4, "x^10+x^8", 1458)
+
+    @pytest.mark.parametrize("rows", [7, None])
+    def test_random_witness(self, monkeypatch, rows):
+        set_chunk_rows(monkeypatch, 3, 17, rows)
+        r = min_a_random(3, 17, 1500, seed=5)
+        assert (r.min_a, str(r.witness), r.candidates_tested) == (
+            8,
+            "2*x^17+x^16+2*x^11+x^8+x^7+x^5+2*x^4+2*x",
+            1500,
+        )
 
 
 class TestRandomSearch:

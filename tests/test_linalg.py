@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from asnum.linalg import FpMatrix, kernel_basis, rank_nullity
+from asnum.linalg import FpMatrix, kernel_basis, rank_nullity, stack_ranks
+from asnum.numutil import HeadroomError
 
 
 def test_rank_nullity_examples():
@@ -50,6 +51,33 @@ def test_rank_equals_rank_of_transpose():
             rows, cols = int(rng.integers(1, 10)), int(rng.integers(1, 10))
             m = rng.integers(0, p, size=(rows, cols))
             assert rank_nullity(FpMatrix(p, m))[0] == rank_nullity(FpMatrix(p, m.T))[0]
+
+
+def test_elimination_checks_int64_headroom():
+    # p = 2^32 + 15: one product of two residues passes 2^63; unchecked, the
+    # rank came out 2, though the second row is minus the first
+    p = 2**32 + 15
+    m = FpMatrix(p, [[p - 1, p - 2], [1, 2]])
+    with pytest.raises(HeadroomError, match="elimination"):
+        rank_nullity(m)
+    with pytest.raises(HeadroomError, match="elimination"):
+        kernel_basis(m)
+    with pytest.raises(HeadroomError, match="stacked elimination"):
+        stack_ranks(m.a[None].copy(), p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_stack_ranks_match_rank_nullity(p):
+    rng = np.random.default_rng(p)
+    for rows, cols in ((0, 3), (3, 0), (1, 1), (4, 4), (5, 9), (9, 5), (12, 12)):
+        for inner in (1, 3, max(rows, cols)):
+            # products of random factors give every rank up to min(rows, cols)
+            left = rng.integers(0, p, size=(30, rows, inner))
+            right = rng.integers(0, p, size=(30, inner, cols))
+            stack = (left @ right) % p
+            stack[::7] = 0
+            expect = [rank_nullity(FpMatrix(p, m))[0] for m in stack]
+            assert stack_ranks(stack, p).tolist() == expect, (rows, cols, inner)
 
 
 def test_empty_matrix_edges():
