@@ -58,7 +58,6 @@ from .fppoly import (
     cartier,
     normalize_artin_schreier,
     parse_poly,
-    section,
     section_after_cartier,
 )
 from .linalg import FpMatrix, kernel_basis, rank_nullity
@@ -114,7 +113,6 @@ __all__ = [
     "report",
     "sample_poly",
     "sample_space_size",
-    "section",
     "section_after_cartier",
     "threshold",
     "verify_family",

@@ -170,11 +170,6 @@ def _neg_f_power_stack(p: int, coeffs) -> list[np.ndarray]:
     return powers
 
 
-def _neg_f_powers(curve: BasicCurve) -> list[np.ndarray]:
-    """Coefficient arrays of (-f)^e mod p for e = 0 .. p-1: a stack of one."""
-    return [g[0] for g in _neg_f_power_stack(curve.p, [curve.f.coeffs])]
-
-
 def reconstruct(curve: BasicCurve, v: KernelTuple) -> CoverDifferential:
     """The differential on the cover determined by a kernel tuple.
 
@@ -231,18 +226,18 @@ def obstruction_matrix(curve: BasicCurve) -> FpMatrix:
     obstruction_stack; columnwise agreement with obstruction_vector is
     covered by tests.
     """
-    return FpMatrix(curve.p, obstruction_stack(curve)[0])
+    return FpMatrix(curve.p, obstruction_stack(curve, [curve.f.coeffs])[0])
 
 
-def obstruction_stack(curve: BasicCurve, coeffs=None) -> np.ndarray:
+def obstruction_stack(curve: BasicCurve, coeffs) -> np.ndarray:
     """Obstruction matrices of the covers y^p - y = f, f the rows of ``coeffs``.
 
-    The rows are polynomials of degree curve.d over F_p, by default curve.f
-    alone; the matrix shape depends only on (p, d), so ``curve`` supplies it
-    and the result is an (N, dim_obstruction, dim_domain) int64 stack, the
-    same arithmetic for every row.  Below its top level a reconstructed
-    component lives on exponents = -1 (mod p) only, so level t is stored
-    compressed: row u stands for exponent p*u + p - 1.  One downward sweep
+    The rows are polynomials of degree curve.d over F_p; the matrix shape
+    depends only on (p, d), so ``curve`` supplies it and the result is an
+    (N, dim_obstruction, dim_domain) int64 stack, the same arithmetic for
+    every row.  Below its top level a reconstructed component lives on
+    exponents = -1 (mod p) only, so level t is stored compressed: row u
+    stands for exponent p*u + p - 1.  One downward sweep
     t = p-2 .. 0 covers every basis column at once; at level t it touches
     only the columns whose top level is above t.  A source level src adds
     comb(src, t) * omega[src] * g with g = (-f)^(src-t) in two parts: the
@@ -256,7 +251,7 @@ def obstruction_stack(curve: BasicCurve, coeffs=None) -> np.ndarray:
     rows = [max((c - (p - 1)) // p + 1, 0) for c in curve.comp_bound]
     # per entry, each source adds at most rows[t] <= rows[0] products below p^2
     check_int64_sum((p - 1) * rows[0], (p - 1) ** 2, "obstruction build")
-    negf = _neg_f_power_stack(p, [curve.f.coeffs] if coeffs is None else coeffs)
+    negf = _neg_f_power_stack(p, coeffs)
     n = negf[0].shape[0]
     exps = [np.array(level_exponents(curve, i), dtype=np.int64) for i in range(p)]
     col = list(accumulate((len(e) for e in exps), initial=0))
@@ -302,7 +297,7 @@ def cartier_matrix(curve: BasicCurve) -> FpMatrix:
     span; the implementation checks this instead of assuming it.
     """
     p = curve.p
-    negf = _neg_f_powers(curve)
+    negf = _neg_f_power_stack(p, [curve.f.coeffs])
     sizes = [max(b + 1, 0) for b in curve.reg_bound]
     if sum(sizes) != curve.genus:
         raise InvariantViolation("regular basis size disagrees with the genus")
@@ -310,7 +305,7 @@ def cartier_matrix(curve: BasicCurve) -> FpMatrix:
     mat = np.zeros((curve.genus, curve.genus), dtype=np.int64)
     for i in range(p):
         for t in range(i + 1):
-            g = negf[i - t]
+            g = negf[i - t][0]
             # enough rows r to reach every coefficient of g; rows past
             # reg_bound[t] must come out zero
             rows = max(sizes[t], (len(g) + sizes[i] - 1) // p)

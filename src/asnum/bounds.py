@@ -94,13 +94,3 @@ def lower_bound_p5_5n1(n: int) -> int:
     if n < 1:
         raise ValueError("n must be at least 1")
     return 9 * n - (2 * n // 5 + (7 * n + 1) // 5 + (12 * n + 2) // 5)
-
-
-def brute_force_block_count(p: int, d: int, i: int, j: int) -> int:
-    """Independent count of {n : p | n, threshold < n <= i*d} by enumeration.
-
-    Used as an oracle in tests; quadratic in d and deliberately naive.
-    """
-    _check_pair(p, d, i, j)
-    t = threshold(p, d, i, j)
-    return sum(1 for n in range(p, i * d + 1, p) if n > t)

@@ -119,24 +119,20 @@ def _histogram(dist) -> None:
 
 
 def cmd_experiment(args) -> int:
+    if args.out and args.format == "text":
+        raise ValueError("--out requires --format csv or json")
     dist = distribution(args.p, args.d, args.n, args.seed, threads=args.threads)
-    if args.format == "csv":
-        payload = dist.to_csv()
-    elif args.format == "json":
-        payload = dist.to_json()
-    else:
-        payload = None
-    if args.out:
-        if payload is None:
-            raise ValueError("--out requires --format csv or json")
-        with open(args.out, "w") as handle:
-            handle.write(payload)
+    if args.format == "text":
         _histogram(dist)
-        print(f"wrote {args.out}")
-    elif payload is not None:
+        return 0
+    payload = dist.to_csv() if args.format == "csv" else dist.to_json()
+    if not args.out:
         sys.stdout.write(payload)
-    else:
-        _histogram(dist)
+        return 0
+    with open(args.out, "w") as handle:
+        handle.write(payload)
+    _histogram(dist)
+    print(f"wrote {args.out}")
     return 0
 
 

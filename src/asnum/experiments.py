@@ -33,9 +33,12 @@ from .bounds import lower_bound_single
 from .curve import BasicCurve
 from .fppoly import FpPoly
 from .linalg import stack_ranks
-from .numutil import check_degree
+from .numutil import ceil_div, check_degree
 
 SCHEMA_VERSION = 1
+
+# Distribution fields a survey file holds unchanged, in file order
+_FIELDS = ("p", "d", "n_samples", "seed")
 
 DEFAULT_EXHAUSTIVE_CAP = 10**6
 
@@ -61,6 +64,15 @@ def sample_space_size(p: int, d: int) -> int:
     """Number of normalized degree-d polynomials: (p-1) * p^(#free slots)."""
     check_degree(p, d)
     return (p - 1) * p ** len(free_exponents(p, d))
+
+
+def _check_request(p: int, d: int, n_samples: int, seed: int) -> None:
+    """Raise ValueError unless (p, d, n_samples, seed) asks for a valid survey."""
+    check_degree(p, d)
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
 
 
 def _rng_for(seed: int, index: int) -> np.random.Generator:
@@ -115,76 +127,71 @@ class Distribution:
         if self.counts and min(self.counts) < lower_bound_single(self.p, self.d):
             raise ValueError("tally contains an a-number below the lower bound")
 
-    def to_json(self) -> str:
-        doc = {
+    def _record(self) -> dict:
+        """The survey file record in file order; CSV writes the counts last, as rows."""
+        return {
             "schema_version": SCHEMA_VERSION,
-            "p": self.p,
-            "d": self.d,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "counts": {str(a): self.counts[a] for a in sorted(self.counts)},
+            **{key: getattr(self, key) for key in _FIELDS},
+            "counts": {a: self.counts[a] for a in sorted(self.counts)},
             "elapsed_ms": int(self.elapsed * 1000),
         }
-        return json.dumps(doc, indent=2) + "\n"
+
+    @classmethod
+    def _from_record(cls, record: dict) -> "Distribution":
+        """The Distribution a parsed survey file holds; both readers end here.
+
+        Raises ValueError on a schema_version other than SCHEMA_VERSION and
+        on a missing field, naming it.
+        """
+        if record.get("schema_version") != SCHEMA_VERSION:
+            raise ValueError(f"unsupported schema version {record.get('schema_version')}")
+        for key in (*_FIELDS, "counts", "elapsed_ms"):
+            if key not in record:
+                raise ValueError(f"survey file lacks field {key!r}")
+        return cls(
+            **{key: record[key] for key in _FIELDS},
+            counts={int(a): int(c) for a, c in record["counts"].items()},
+            elapsed=record["elapsed_ms"] / 1000.0,
+        )
+
+    def to_json(self) -> str:
+        return json.dumps(self._record(), indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "Distribution":
-        doc = json.loads(text)
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema version {doc.get('schema_version')}")
-        return cls(
-            p=doc["p"],
-            d=doc["d"],
-            n_samples=doc["n_samples"],
-            seed=doc["seed"],
-            counts={int(a): int(c) for a, c in doc["counts"].items()},
-            elapsed=doc["elapsed_ms"] / 1000.0,
-        )
+        return cls._from_record(json.loads(text))
 
     def to_csv(self) -> str:
-        lines = [
-            f"# schema_version={SCHEMA_VERSION}",
-            f"# p={self.p}",
-            f"# d={self.d}",
-            f"# n_samples={self.n_samples}",
-            f"# seed={self.seed}",
-            f"# elapsed_ms={int(self.elapsed * 1000)}",
-            "a,count",
-        ]
-        lines.extend(f"{a},{self.counts[a]}" for a in sorted(self.counts))
+        record = self._record()
+        counts = record.pop("counts")
+        lines = [f"# {key}={value}" for key, value in record.items()]
+        lines.append("a,count")
+        lines.extend(f"{a},{c}" for a, c in counts.items())
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_csv(cls, text: str) -> "Distribution":
-        meta = {}
+        # a CSV file may leave out schema_version and elapsed_ms
+        record = {"schema_version": SCHEMA_VERSION, "elapsed_ms": 0}
         counts = {}
-        header_seen = False
         for line in text.splitlines():
             line = line.strip()
             if not line:
                 continue
             if line.startswith("#"):
                 key, _, value = line[1:].strip().partition("=")
-                meta[key] = value
+                if key in ("schema_version", *_FIELDS, "elapsed_ms"):
+                    record[key] = int(value)
                 continue
             if line == "a,count":
-                header_seen = True
+                record["counts"] = counts
                 continue
             a_text, _, c = line.partition(",")
             a = int(a_text)
             if a in counts:
                 raise ValueError(f"duplicate row for a = {a}")
             counts[a] = int(c)
-        if not header_seen:
-            raise ValueError("missing a,count header")
-        return cls(
-            p=int(meta["p"]),
-            d=int(meta["d"]),
-            n_samples=int(meta["n_samples"]),
-            seed=int(meta["seed"]),
-            counts=counts,
-            elapsed=int(meta.get("elapsed_ms", "0")) / 1000.0,
-        )
+        return cls._from_record(record)
 
 
 def _shape(p: int, d: int) -> BasicCurve:
@@ -259,20 +266,16 @@ def distribution(
     """Tally a-numbers of n_samples random covers.
 
     The result depends only on (p, d, n_samples, seed); worker count affects
-    speed only.  At most min(threads, CPU count, n_samples) worker processes
-    are started.
+    speed only.  At most min(threads, CPU count, engine chunks) worker
+    processes are started, so a survey of one chunk starts none.
     """
-    check_degree(p, d)
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    _check_request(p, d, n_samples, seed)
     start = time.perf_counter()
-    threads = min(threads, os.cpu_count() or 1, n_samples)
+    threads = min(threads, os.cpu_count() or 1, ceil_div(n_samples, _chunk_rows(p, d)))
     if threads <= 1:
         counts = _tally_range((p, d, seed, 0, n_samples))
     else:
-        per_job = max(1, -(-n_samples // (4 * threads)))
+        per_job = ceil_div(n_samples, 4 * threads)
         jobs = [
             (p, d, seed, lo, min(lo + per_job, n_samples))
             for lo in range(0, n_samples, per_job)
@@ -325,7 +328,6 @@ def min_a_exhaustive(p: int, d: int, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> Searc
 
     Raises SearchSpaceError when the space exceeds ``cap`` candidates.
     """
-    check_degree(p, d)
     total = sample_space_size(p, d)
     if total > cap:
         raise SearchSpaceError(
@@ -337,9 +339,5 @@ def min_a_exhaustive(p: int, d: int, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> Searc
 
 def min_a_random(p: int, d: int, n_samples: int, seed: int) -> SearchResult:
     """Minimum a-number over n_samples random covers: an upper bound for the true minimum."""
-    check_degree(p, d)
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    _check_request(p, d, n_samples, seed)
     return _search(p, d, _random_chunks(p, d, seed, 0, n_samples), exhaustive=False)

@@ -4,10 +4,10 @@ Coefficients are stored by exponent and kept trimmed, so the last entry is
 nonzero whenever the polynomial is nonzero; the zero polynomial has an empty
 coefficient tuple and degree -inf.  Arithmetic is on Python ints, so every
 product is exact for any p.  A differential h(x) dx on the line is
-represented by its polynomial h alone: the Cartier operator and its right
-inverse take and return h.  The base field is always the prime field, so
-the p-th power map on coefficients is the identity and the semilinear twists
-of both operators disappear.
+represented by its polynomial h alone: the Cartier operator and the
+projection below take and return h.  The base field is always the prime
+field, so the p-th power map on coefficients is the identity and the
+semilinear twist of the Cartier operator disappears.
 """
 
 import re
@@ -194,20 +194,12 @@ def cartier(h: FpPoly) -> FpPoly:
     return FpPoly(h.p, h.coeffs[h.p - 1 :: h.p])
 
 
-def section(h: FpPoly) -> FpPoly:
-    """Right inverse of the Cartier operator on h: x^j dx -> x^(p(j+1)-1) dx."""
-    p = h.p
-    out = [0] * (p * len(h.coeffs))
-    for j, c in enumerate(h.coeffs):
-        out[p * (j + 1) - 1] = c
-    return FpPoly(p, out)
-
-
 def section_after_cartier(h: FpPoly) -> FpPoly:
-    """Compose section with cartier: keep exactly the terms x^j dx, j = -1 (mod p).
+    """Keep exactly the terms x^j dx with j = -1 (mod p).
 
-    This projects h dx onto the complement of the Cartier kernel; it is what
-    one application of section-after-cartier leaves of a differential.
+    This is the Cartier operator followed by its right inverse
+    x^j dx -> x^(p(j+1)-1) dx: it projects h dx onto the complement of the
+    Cartier kernel, keeping its Cartier image.
     """
     p = h.p
     out = [0] * len(h.coeffs)

@@ -19,16 +19,12 @@ from asnum.anumber import (
     reconstruct,
     KernelTuple,
 )
-from asnum.bounds import (
-    block_count,
-    brute_force_block_count,
-    level_sum,
-    lower_bound_single,
-)
+from asnum.bounds import block_count, level_sum, lower_bound_single
 from asnum.curve import BasicCurve
 from asnum.experiments import distribution, min_a_exhaustive, sample_poly, _rng_for
 from asnum.families import family_p5_mod5, verify_family
 from asnum.fppoly import FpPoly, parse_poly
+from test_bounds import brute_force_block_count
 
 
 def test_criterion_1_lower_bound_captions():

@@ -17,7 +17,7 @@ from asnum.anumber import (
     InvariantViolation,
     KernelTuple,
     _certified_p_rank,
-    _neg_f_powers,
+    _neg_f_power_stack,
     a_number_fast,
     a_number_oracle,
     cartier_matrix,
@@ -196,7 +196,7 @@ class TestObstructionMap:
         # sizes only: a stand-in curve with p = 2^21 + 17, where the first
         # level's sums could pass 2^63; the guard must fire before any array
         p = 2**21 + 17
-        big = SimpleNamespace(p=p, comp_bound=(2 * (p - 1) - 2,))
+        big = SimpleNamespace(p=p, comp_bound=(2 * (p - 1) - 2,), f=FpPoly(p, (1, 1)))
         with pytest.raises(HeadroomError, match="obstruction build"):
             obstruction_matrix(big)
 
@@ -204,10 +204,9 @@ class TestObstructionMap:
         # p = 2^32 + 15: one product of two residues passes 2^63; with numpy
         # unavailable, any array built before the guard fails differently
         p = 2**32 + 15
-        big = SimpleNamespace(p=p, f=FpPoly(p, (1, 1)))
         monkeypatch.setattr(asnum.anumber, "np", None)
         with pytest.raises(HeadroomError, match=r"\(-f\)\^e table"):
-            _neg_f_powers(big)
+            _neg_f_power_stack(p, [(1, 1)])
 
     def test_shapes_on_degenerate_curves(self):
         c = make(3, "x^2")

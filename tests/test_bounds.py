@@ -8,7 +8,6 @@ import pytest
 from asnum.bounds import (
     RamificationData,
     block_count,
-    brute_force_block_count,
     level_sum,
     lower_bound,
     lower_bound_p3,
@@ -44,6 +43,15 @@ def test_block_count_values():
     assert block_count(3, 17, 2, 1) == 11 - 7 == 4
     assert block_count(5, 11, 2, 2) == 4
     assert block_count(5, 1, 4, 2) == 0
+
+
+def brute_force_block_count(p: int, d: int, i: int, j: int) -> int:
+    """Independent count of {n : p | n, threshold < n <= i*d} by enumeration.
+
+    Quadratic in d and deliberately naive.
+    """
+    t = threshold(p, d, i, j)
+    return sum(1 for n in range(p, i * d + 1, p) if n > t)
 
 
 def test_block_count_matches_enumeration():

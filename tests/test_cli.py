@@ -169,6 +169,18 @@ class TestExperiment:
         assert code != 0
         assert "--format" in err
 
+    def test_out_checked_before_surveying(self, capsys, monkeypatch, tmp_path):
+        def survey(*args, **kwargs):
+            pytest.fail("experiment surveyed before rejecting --out")
+
+        monkeypatch.setattr(asnum.cli, "distribution", survey)
+        code, _, err = run(
+            capsys, "experiment", "--p", "3", "--d", "17", "--n", "20000",
+            "--out", str(tmp_path / "x.txt"),
+        )
+        assert (code, err) == (1, "error: --out requires --format csv or json\n")
+        assert not (tmp_path / "x.txt").exists()
+
     def test_threads_flag(self, capsys):
         code, out, _ = run(
             capsys, "experiment", "--p", "3", "--d", "4", "--n", "20",
@@ -252,13 +264,18 @@ def test_prime_validation(capsys):
 
 
 def test_module_entry_point():
+    import os
     import subprocess
     import sys
 
+    # the child imports the package under test, installed or not
+    src = os.path.dirname(os.path.dirname(asnum.cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "asnum", "bound", "--p", "3", "--d", "17"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "L(D) = 8" in proc.stdout

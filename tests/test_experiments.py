@@ -1,6 +1,8 @@
 """Sampling, distributions, reproducibility, exhaustive and random search."""
 
+import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +34,26 @@ def set_chunk_rows(monkeypatch, p, d, rows):
     if rows is not None:
         monkeypatch.setattr(asnum.experiments, "CHUNK_ROWS", rows)
         assert _chunk_rows(p, d) == rows
+
+
+def fake_pool(monkeypatch):
+    """Run pool jobs in this process; returns the list of max_workers asked for."""
+    recorded = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(asnum.experiments, "ProcessPoolExecutor", InProcessPool)
+    return recorded
 
 
 class TestSampling:
@@ -76,30 +98,28 @@ class TestDistribution:
         d3 = distribution(3, 7, 60, seed=6)
         assert d3.counts != d1.counts or d3.seed != d1.seed
 
-    def test_thread_count_does_not_change_counts(self):
+    def test_thread_count_does_not_change_counts(self, monkeypatch):
+        # 7 samples per chunk: 40 samples fill 6 chunks, enough for a pool
+        set_chunk_rows(monkeypatch, 3, 8, 7)
         serial = distribution(3, 8, 40, seed=9, threads=1)
         parallel = distribution(3, 8, 40, seed=9, threads=2)
         assert serial.counts == parallel.counts
 
     def test_worker_count_clamped_to_cpus(self, monkeypatch):
-        recorded = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                recorded.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-        monkeypatch.setattr(asnum.experiments, "ProcessPoolExecutor", InProcessPool)
+        recorded = fake_pool(monkeypatch)
+        set_chunk_rows(monkeypatch, 3, 8, 7)
         clamped = distribution(3, 8, 40, seed=9, threads=10**6)
-        assert all(w <= (os.cpu_count() or 1) for w in recorded)
+        cpus = os.cpu_count() or 1
+        assert recorded == ([] if cpus == 1 else [min(cpus, 6)])
         assert clamped.counts == distribution(3, 8, 40, seed=9, threads=1).counts
+
+    def test_one_chunk_starts_no_pool(self, monkeypatch):
+        recorded = fake_pool(monkeypatch)
+        assert _chunk_rows(3, 17) >= 100
+        for seed in range(3):
+            serial = distribution(3, 17, 100, seed, threads=1)
+            assert distribution(3, 17, 100, seed, threads=8).counts == serial.counts
+        assert recorded == []
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -112,23 +132,47 @@ class TestDistribution:
 
 class TestSerialization:
     def test_json_round_trip(self):
-        dist = distribution(3, 7, 25, seed=2)
-        again = Distribution.from_json(dist.to_json())
-        assert again.counts == dist.counts
-        assert (again.p, again.d, again.n_samples, again.seed) == (3, 7, 25, 2)
+        dist = replace(distribution(3, 7, 25, seed=2), elapsed=0.125)
+        assert Distribution.from_json(dist.to_json()) == dist
 
     def test_csv_round_trip(self):
-        dist = distribution(5, 6, 25, seed=2)
+        dist = replace(distribution(5, 6, 25, seed=2), elapsed=0.125)
         text = dist.to_csv()
         assert text.startswith("# schema_version=1\n")
         assert "a,count" in text
-        again = Distribution.from_csv(text)
-        assert again.counts == dist.counts
-        assert (again.p, again.d, again.n_samples, again.seed) == (5, 6, 25, 2)
+        assert Distribution.from_csv(text) == dist
+
+    def test_schema_version_rules(self):
+        dist = replace(distribution(3, 7, 25, seed=2), elapsed=0.125)
+        doc = json.loads(dist.to_json())
+        csv = dist.to_csv()
+        for version in (2, 0):
+            with pytest.raises(ValueError, match=f"unsupported schema version {version}"):
+                Distribution.from_json(json.dumps({**doc, "schema_version": version}))
+            with pytest.raises(ValueError, match=f"unsupported schema version {version}"):
+                Distribution.from_csv(csv.replace("schema_version=1", f"schema_version={version}"))
+        # JSON must carry the version; CSV without the line reads as version 1
+        del doc["schema_version"]
+        with pytest.raises(ValueError, match="unsupported schema version None"):
+            Distribution.from_json(json.dumps(doc))
+        assert Distribution.from_csv(csv.replace("# schema_version=1\n", "")) == dist
+
+    @pytest.mark.parametrize("key", ["p", "d", "n_samples", "seed", "counts", "elapsed_ms"])
+    def test_missing_field_is_named(self, key):
+        dist = distribution(3, 7, 25, seed=2)
+        doc = json.loads(dist.to_json())
+        del doc[key]
+        with pytest.raises(ValueError, match=f"field '{key}'"):
+            Distribution.from_json(json.dumps(doc))
+        # CSV counts are the a,count table, and a CSV may leave out elapsed_ms
+        if key not in ("counts", "elapsed_ms"):
+            text = "".join(
+                line for line in dist.to_csv().splitlines(True) if not line.startswith(f"# {key}=")
+            )
+            with pytest.raises(ValueError, match=f"field '{key}'"):
+                Distribution.from_csv(text)
 
     def test_json_schema_fields(self):
-        import json
-
         doc = json.loads(distribution(3, 4, 5, seed=1).to_json())
         assert set(doc) == {
             "schema_version",
@@ -146,7 +190,7 @@ class TestSerialization:
             Distribution.from_csv(text)
 
     def test_csv_rejects_headerless_text(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="field 'counts'"):
             Distribution.from_csv("# p=3\n# d=4\n# n_samples=1\n# seed=0\n1,1\n")
 
     def test_tally_invariants_enforced(self):
