@@ -8,7 +8,11 @@ statistical, not exact.
 
 Every sample gets its own generator seeded from (master seed, sample index),
 so tallies are bit-for-bit reproducible and independent of how samples are
-distributed over worker processes.
+distributed over worker processes.  A survey does not build those
+generators one by one: asnum._seeded mirrors numpy's SeedSequence, PCG64
+and 32-bit Lemire algorithms in numpy integer arithmetic and draws a block
+of samples at once, bit for bit.  The per-sample generator (_rng_for and
+_draw) is its reference, and draws the few rows the batch cannot.
 
 The survey engine, _a_numbers, works on chunks: (N, d+1) arrays of
 coefficient rows, drawn or enumerated in index order.  The obstruction
@@ -28,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._seeded import bounded_draws
 from .anumber import obstruction_stack
 from .bounds import lower_bound_single
 from .curve import BasicCurve
@@ -49,6 +54,12 @@ DEFAULT_EXHAUSTIVE_CAP = 10**6
 # several samples up to the cell cap.
 CHUNK_ROWS = 128
 CHUNK_CELLS = 2**20
+
+# The seeded draw (asnum._seeded) costs mostly numpy calls made once per
+# draw: 2.8 us per sample in blocks of 128 samples at (3, 17), 1.0 us from
+# about 600 on.  So samples are drawn in blocks of whole chunks holding at
+# most DRAW_CELLS coefficients (128 KB of int64).
+DRAW_CELLS = 2**14
 
 
 class SearchSpaceError(ValueError):
@@ -84,7 +95,10 @@ def _draw(p: int, d: int, rngs) -> np.ndarray:
 
     Each generator draws the leading coefficient first (uniform over nonzero
     residues), then the free slots in increasing exponent order; keep this
-    order fixed or reproducibility breaks.
+    order fixed or reproducibility breaks.  This is the reference for the
+    batched draw of _seeded_rows, which mirrors numpy's SeedSequence, PCG64
+    and 32-bit Lemire algorithms to give the same rows without a generator
+    per sample.
     """
     free = free_exponents(p, d)
     leads = []
@@ -140,17 +154,28 @@ class Distribution:
     def _from_record(cls, record: dict) -> "Distribution":
         """The Distribution a parsed survey file holds; both readers end here.
 
-        Raises ValueError on a schema_version other than SCHEMA_VERSION and
-        on a missing field, naming it.
+        Raises ValueError on a schema_version other than SCHEMA_VERSION, and
+        on a field that is missing or not an int (counts: not a mapping from
+        a-numbers to int counts), naming it.  A bool is not an int here; an
+        a-number may be written as a decimal string, as JSON keys are.
         """
         if record.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema version {record.get('schema_version')}")
         for key in (*_FIELDS, "counts", "elapsed_ms"):
             if key not in record:
                 raise ValueError(f"survey file lacks field {key!r}")
+        for key in (*_FIELDS, "elapsed_ms"):
+            if type(record[key]) is not int:
+                raise ValueError(f"survey file field {key!r} is not an integer")
+        counts = record["counts"]
+        if not isinstance(counts, dict) or not all(
+            type(c) is int and (type(a) is int or (isinstance(a, str) and a.isdecimal()))
+            for a, c in counts.items()
+        ):
+            raise ValueError("survey file field 'counts' is not a mapping of integers")
         return cls(
             **{key: record[key] for key in _FIELDS},
-            counts={int(a): int(c) for a, c in record["counts"].items()},
+            counts={int(a): c for a, c in counts.items()},
             elapsed=record["elapsed_ms"] / 1000.0,
         )
 
@@ -206,12 +231,34 @@ def _chunk_rows(p: int, d: int) -> int:
     return max(1, min(CHUNK_ROWS, CHUNK_CELLS // cells))
 
 
+def _seeded_rows(p: int, d: int, seed: int, lo: int, hi: int) -> np.ndarray:
+    """_draw over _rng_for(seed, index) for lo <= index < hi, in one batched draw.
+
+    Rows the batch cannot give exactly (see asnum._seeded) are drawn with
+    their own generator.
+    """
+    free = free_exponents(p, d)
+    draws, exact = bounded_draws(seed, lo, hi, [p - 1] + [p] * len(free))
+    rows = np.zeros((hi - lo, d + 1), dtype=np.int64)
+    rows[:, d] = draws[:, 0] + 1
+    rows[:, free] = draws[:, 1:]
+    for r in np.flatnonzero(~exact):
+        rows[r] = _draw(p, d, [_rng_for(seed, lo + int(r))])[0]
+    return rows
+
+
 def _random_chunks(p: int, d: int, seed: int, lo: int, hi: int):
-    """The seeded samples with indices lo <= index < hi, in index order, as chunks."""
+    """The seeded samples with indices lo <= index < hi, in index order, as chunks.
+
+    They are drawn in blocks of whole chunks holding at most DRAW_CELLS
+    coefficients, or of one chunk when a chunk holds more.
+    """
     size = _chunk_rows(p, d)
-    for start in range(lo, hi, size):
-        stop = min(start + size, hi)
-        yield _draw(p, d, (_rng_for(seed, index) for index in range(start, stop)))
+    block = size * max(1, DRAW_CELLS // (size * (d + 1)))
+    for start in range(lo, hi, block):
+        rows = _seeded_rows(p, d, seed, start, min(start + block, hi))
+        for k in range(0, len(rows), size):
+            yield rows[k : k + size]
 
 
 def _all_chunks(p: int, d: int):
@@ -271,11 +318,13 @@ def distribution(
     """
     _check_request(p, d, n_samples, seed)
     start = time.perf_counter()
-    threads = min(threads, os.cpu_count() or 1, ceil_div(n_samples, _chunk_rows(p, d)))
+    size = _chunk_rows(p, d)
+    threads = min(threads, os.cpu_count() or 1, ceil_div(n_samples, size))
     if threads <= 1:
         counts = _tally_range((p, d, seed, 0, n_samples))
     else:
-        per_job = ceil_div(n_samples, 4 * threads)
+        # about 4 jobs per worker, each a whole number of chunks
+        per_job = size * ceil_div(n_samples, 4 * threads * size)
         jobs = [
             (p, d, seed, lo, min(lo + per_job, n_samples))
             for lo in range(0, n_samples, per_job)

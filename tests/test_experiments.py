@@ -11,6 +11,7 @@ import asnum.experiments
 from asnum.bounds import lower_bound_single
 from asnum.curve import BasicCurve
 from asnum.anumber import a_number_fast
+from asnum._seeded import bounded_draws
 from asnum.experiments import (
     Distribution,
     SearchSpaceError,
@@ -22,8 +23,10 @@ from asnum.experiments import (
     sample_space_size,
     _a_numbers,
     _chunk_rows,
+    _draw,
     _random_chunks,
     _rng_for,
+    _seeded_rows,
     _shape,
 )
 from asnum.fppoly import FpPoly
@@ -36,8 +39,11 @@ def set_chunk_rows(monkeypatch, p, d, rows):
         assert _chunk_rows(p, d) == rows
 
 
-def fake_pool(monkeypatch):
-    """Run pool jobs in this process; returns the list of max_workers asked for."""
+def fake_pool(monkeypatch, jobs=None):
+    """Run pool jobs in this process; returns the list of max_workers asked for.
+
+    Each job's arguments are appended to `jobs` when it is given.
+    """
     recorded = []
 
     class InProcessPool:
@@ -50,7 +56,11 @@ def fake_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        map = staticmethod(map)
+        def map(self, fn, args):
+            args = list(args)
+            if jobs is not None:
+                jobs.extend(args)
+            return map(fn, args)
 
     monkeypatch.setattr(asnum.experiments, "ProcessPoolExecutor", InProcessPool)
     return recorded
@@ -113,6 +123,18 @@ class TestDistribution:
         assert recorded == ([] if cpus == 1 else [min(cpus, 6)])
         assert clamped.counts == distribution(3, 8, 40, seed=9, threads=1).counts
 
+    def test_jobs_hold_whole_chunks(self, monkeypatch):
+        jobs = []
+        fake_pool(monkeypatch, jobs)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        set_chunk_rows(monkeypatch, 3, 8, 7)
+        parallel = distribution(3, 8, 300, seed=9, threads=2)
+        sizes = [hi - lo for _, _, _, lo, hi in jobs]
+        assert len(jobs) > 1 and all(size % 7 == 0 for size in sizes[:-1])
+        assert [lo for *_, lo, _ in jobs] == [0, *np.cumsum(sizes[:-1]).tolist()]
+        assert sum(sizes) == 300
+        assert parallel.counts == distribution(3, 8, 300, seed=9, threads=1).counts
+
     def test_one_chunk_starts_no_pool(self, monkeypatch):
         recorded = fake_pool(monkeypatch)
         assert _chunk_rows(3, 17) >= 100
@@ -171,6 +193,25 @@ class TestSerialization:
             )
             with pytest.raises(ValueError, match=f"field '{key}'"):
                 Distribution.from_csv(text)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("p", "3"),
+            ("d", 7.0),
+            ("n_samples", 25.0),
+            ("seed", True),
+            ("elapsed_ms", "5"),
+            ("counts", [1]),
+            ("counts", {"8": 25.0}),
+            ("counts", {"eight": 25}),
+        ],
+    )
+    def test_field_of_wrong_type_is_named(self, key, value):
+        doc = json.loads(distribution(3, 7, 25, seed=2).to_json())
+        doc[key] = value
+        with pytest.raises(ValueError, match=f"field '{key}'"):
+            Distribution.from_json(json.dumps(doc))
 
     def test_json_schema_fields(self):
         doc = json.loads(distribution(3, 4, 5, seed=1).to_json())
@@ -286,6 +327,51 @@ class TestEngine:
     def test_rejects_rows_of_another_degree(self):
         with pytest.raises(ValueError, match="not normalized"):
             list(_a_numbers(3, 4, [np.array([[0, 1, 2, 0, 1, 0]])]))
+
+
+class TestSeededDraw:
+    """The batched seeded draw against the per-sample generators it mirrors."""
+
+    @staticmethod
+    def reference(p, d, seed, lo, hi):
+        return _draw(p, d, [_rng_for(seed, index) for index in range(lo, hi)])
+
+    @staticmethod
+    def exact_rows(p, d, seed, lo, hi):
+        free = free_exponents(p, d)
+        return bounded_draws(seed, lo, hi, [p - 1] + [p] * len(free))[1]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 101, 65537])
+    def test_matches_per_sample_generators(self, p):
+        for d in (d for d in (1, 4, 7, 11) if d % p):
+            for seed in (0, 1, 2**32 - 1, 2**32):
+                rows = _seeded_rows(p, d, seed, 0, 24)
+                assert np.array_equal(rows, self.reference(p, d, seed, 0, 24)), (p, d, seed)
+                # a seed of 2^32 is three entropy words: every row falls back
+                assert self.exact_rows(p, d, seed, 0, 24).all() == (seed < 2**32)
+
+    def test_indices_across_two_to_the_32(self):
+        lo, hi = 2**32 - 4, 2**32 + 4
+        for p, d in ((3, 17), (5, 11)):
+            rows = _seeded_rows(p, d, 7, lo, hi)
+            assert np.array_equal(rows, self.reference(p, d, 7, lo, hi))
+            assert self.exact_rows(p, d, 7, lo, hi).tolist() == [True] * 4 + [False] * 4
+
+    def test_rejected_draws_fall_back(self):
+        # Lemire's draw redraws about half the words for a range just above 2^31
+        p = 2147483659
+        exact = self.exact_rows(p, 3, 1, 0, 64)
+        assert exact.any() and not exact.all()
+        assert np.array_equal(_seeded_rows(p, 3, 1, 0, 64), self.reference(p, 3, 1, 0, 64))
+
+    @pytest.mark.parametrize("cells", [1, 100, None])
+    def test_chunks_across_draw_blocks(self, monkeypatch, cells):
+        set_chunk_rows(monkeypatch, 3, 8, 7)
+        if cells is not None:
+            monkeypatch.setattr(asnum.experiments, "DRAW_CELLS", cells)
+        chunks = list(_random_chunks(3, 8, 5, 3, 60))
+        assert [len(rows) for rows in chunks] == [7] * 8 + [1]
+        assert np.array_equal(np.concatenate(chunks), self.reference(3, 8, 5, 3, 60))
 
 
 class TestSearchAcrossChunks:
