@@ -364,7 +364,7 @@ class TestSeededDraw:
         assert exact.any() and not exact.all()
         assert np.array_equal(_seeded_rows(p, 3, 1, 0, 64), self.reference(p, 3, 1, 0, 64))
 
-    @pytest.mark.parametrize("cells", [1, 100, None])
+    @pytest.mark.parametrize("cells", [1, 200, None])
     def test_chunks_across_draw_blocks(self, monkeypatch, cells):
         set_chunk_rows(monkeypatch, 3, 8, 7)
         if cells is not None:
