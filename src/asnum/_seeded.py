@@ -125,12 +125,16 @@ def _outputs(seed: int, index: np.ndarray, count: int) -> np.ndarray:
     seed_hi, seed_lo, inc_hi, inc_lo = (w[:, None] for w in _seed_words(seed, index))
     inc_hi = (inc_hi << _U64(1)) | (inc_lo >> _U64(63))
     inc_lo = (inc_lo << _U64(1)) | _U64(1)
-    powers = [pow(_PCG_MULT, k, 2**128) for k in range(count + 2)]
-    jump = _halves(powers[2:])
-    inc_sums = _halves([sum(powers[: k + 1]) % 2**128 for k in range(1, count + 1)])
+    jump, inc_sum = [], []
+    power, total = _PCG_MULT, 1
+    for _ in range(count):
+        total = (total + power) % 2**128  # 1 + M + ... + M^k
+        power = power * _PCG_MULT % 2**128  # M^(k+1)
+        jump.append(power)
+        inc_sum.append(total)
     hi, lo = _add128(
-        *_mul128(*_add128(inc_hi, inc_lo, seed_hi, seed_lo), *jump),
-        *_mul128(inc_hi, inc_lo, *inc_sums),
+        *_mul128(*_add128(inc_hi, inc_lo, seed_hi, seed_lo), *_halves(jump)),
+        *_mul128(inc_hi, inc_lo, *_halves(inc_sum)),
     )
     # XSL-RR: rotate hi ^ lo right by the top 6 bits of the state
     rot = hi >> _U64(58)
