@@ -124,8 +124,9 @@ def sample_poly(p: int, d: int, rng: np.random.Generator) -> FpPoly:
 class Distribution:
     """Tally of a-numbers over sampled degree-d covers.
 
-    Counts must sum to n_samples, and no observed a-number may undercut the
-    lower bound; both are enforced, also on tallies parsed back from files.
+    There is at least one sample, every count is nonnegative and they sum to
+    n_samples, and every observed a-number lies in [L(d), genus]; all of
+    this is enforced, also on tallies parsed back from files.
     """
 
     p: int
@@ -136,10 +137,16 @@ class Distribution:
     elapsed: float
 
     def __post_init__(self):
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be at least 1")
+        if any(c < 0 for c in self.counts.values()):
+            raise ValueError("tally contains a negative count")
         if sum(self.counts.values()) != self.n_samples:
             raise ValueError("counts do not sum to n_samples")
         if self.counts and min(self.counts) < lower_bound_single(self.p, self.d):
             raise ValueError("tally contains an a-number below the lower bound")
+        if self.counts and max(self.counts) > (self.p - 1) * (self.d - 1) // 2:
+            raise ValueError("tally contains an a-number above the genus")
 
     def _record(self) -> dict:
         """The survey file record in file order; CSV writes the counts last, as rows."""

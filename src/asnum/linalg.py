@@ -6,6 +6,18 @@ row-echelon form).  The matrices in this package stay at most a few thousand
 square, so exactness and simplicity win over asymptotics.  All mod-p
 reductions are on integers, never floats.
 
+Before it eliminates, rank_nullity peels the pivots that the zero pattern
+alone fixes (structured Gaussian elimination, after LaMacchia and Odlyzko).
+A zero row or column adds nothing to the rank.  A column whose only nonzero
+sits in row r is a multiple of e_r, so column operations clear the rest of
+row r, and rank(A) = 1 + rank(A without row r and that column); the same
+holds for rows.  The obstruction matrices of the minimal families are almost
+empty and peel to an empty or 2 x 2 core, so their rank costs O(nonzeros)
+instead of a walk over every column.  A peeling round is one pass over the
+nonzeros and saves a row of elimination per pivot, so the peel stops after a
+round whose pivots times the column count fall below the nonzeros it
+scanned, and _echelon ranks the core that is left.
+
 stack_ranks is a second, independent elimination for the survey engine: it
 ranks a whole stack of small matrices at once, so numpy's per-call cost is
 paid per column of the stack instead of per column of every matrix.  On a
@@ -52,14 +64,63 @@ class FpMatrix:
         return f"FpMatrix(p={self.p}, shape={self.a.shape})"
 
 
+def _check_headroom(p: int) -> None:
+    """Raise HeadroomError unless _echelon's products fit int64 at modulus p."""
+    # a scaled row and a row minus a multiple stay within (p-1)^2 in magnitude
+    check_int64_sum(1, (p - 1) ** 2, "elimination")
+
+
+def _peel(a: np.ndarray) -> tuple[int, np.ndarray]:
+    """Pivots of ``a`` that its zero pattern fixes, and the core left to eliminate.
+
+    Returns (peeled_rank, core) with rank(a) = peeled_rank + rank(core); no
+    arithmetic is done.  Each round is one pass over the coordinates of the
+    nonzeros.  It peels every singleton column, one pivot per row (another
+    singleton column in that row is left zero), or, when there is none, every
+    singleton row, one pivot per column.  The peel stops after a round whose
+    pivots times the column count fall below the nonzeros it scanned: such a
+    round costs more than the elimination steps it saves.  The core is the
+    submatrix of the rows and columns that still hold a nonzero, in their
+    original order.
+    """
+    rows, cols = a.shape
+    if a.size == 0:
+        return 0, a
+    # np.nonzero on a 2-D int64 array is several times slower
+    r, c = np.divmod(np.flatnonzero(a != 0), cols)
+    peeled = 0
+    while r.size:
+        # every singleton column goes, with one pivot per row it sits in
+        dead_cols = np.bincount(c, minlength=cols) == 1
+        single = dead_cols[c]
+        if single.any():
+            dead_rows = np.bincount(r[single], minlength=rows) > 0
+            pivots = int(np.count_nonzero(dead_rows))
+        else:
+            dead_rows = np.bincount(r, minlength=rows) == 1
+            single = dead_rows[r]
+            if not single.any():
+                break
+            dead_cols = np.bincount(c[single], minlength=cols) > 0
+            pivots = int(np.count_nonzero(dead_cols))
+        peeled += pivots
+        scanned = r.size
+        keep = ~(dead_rows[r] | dead_cols[c])
+        r, c = r[keep], c[keep]
+        if pivots * cols < scanned:
+            break
+    live_rows = np.flatnonzero(np.bincount(r, minlength=rows))
+    live_cols = np.flatnonzero(np.bincount(c, minlength=cols))
+    return peeled, a[np.ix_(live_rows, live_cols)]
+
+
 def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Row-echelon form of a copy of ``a`` (pivots scaled to 1) and its pivot columns.
 
     Forward elimination only: clearing above the pivots as well would cost
-    the rank a full reduction it does not need.
+    the rank a full reduction it does not need.  The caller checks int64
+    headroom first (_check_headroom).
     """
-    # a scaled row and a row minus a multiple stay within (p-1)^2 in magnitude
-    check_int64_sum(1, (p - 1) ** 2, "elimination")
     a = a.copy()
     rows, cols = a.shape
     pivots: list[int] = []
@@ -123,8 +184,17 @@ def stack_ranks(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def rank_nullity(m: FpMatrix) -> tuple[int, int]:
-    """Rank and nullity of ``m``; rank + nullity = cols."""
-    rank = len(_echelon(m.a, m.p)[1])
+    """Rank and nullity of ``m``; rank + nullity = cols.
+
+    Checks int64 headroom first, whatever the zero pattern, then peels the
+    pivots of singleton columns and rows (exact: such a column is a multiple
+    of a unit vector, so its row and column leave with rank 1) until a round
+    peels fewer pivots than its scan of the nonzeros is worth, and eliminates
+    only the core that is left.
+    """
+    _check_headroom(m.p)
+    peeled, core = _peel(m.a)
+    rank = peeled + len(_echelon(core, m.p)[1])
     return rank, m.cols - rank
 
 
@@ -135,6 +205,7 @@ def kernel_basis(m: FpMatrix) -> list[np.ndarray]:
     and its pivot entries solved by back-substitution, pivot rows bottom-up;
     the sums are taken in Python ints, so they cannot overflow.
     """
+    _check_headroom(m.p)
     ech, pivots = _echelon(m.a, m.p)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]

@@ -213,6 +213,29 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"field '{key}'"):
             Distribution.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "counts, n_samples, message",
+        [
+            ({8: 30, 9: -5}, 25, "negative count"),
+            ({99: 25}, 25, "above the genus"),
+            ({7: 25}, 25, "below the lower bound"),
+            ({}, 0, "at least 1"),
+        ],
+    )
+    def test_impossible_tally_is_refused(self, counts, n_samples, message):
+        # (3, 17): L = 8, genus 16; the constructor and both readers refuse it
+        with pytest.raises(ValueError, match=message):
+            Distribution(p=3, d=17, n_samples=n_samples, seed=0, counts=counts, elapsed=0.0)
+        doc = json.loads(distribution(3, 17, 25, seed=2).to_json())
+        doc["n_samples"] = n_samples
+        doc["counts"] = {str(a): c for a, c in counts.items()}
+        with pytest.raises(ValueError, match=message):
+            Distribution.from_json(json.dumps(doc))
+        text = f"# p=3\n# d=17\n# n_samples={n_samples}\n# seed=0\na,count\n"
+        text += "".join(f"{a},{c}\n" for a, c in counts.items())
+        with pytest.raises(ValueError, match=message):
+            Distribution.from_csv(text)
+
     def test_json_schema_fields(self):
         doc = json.loads(distribution(3, 4, 5, seed=1).to_json())
         assert set(doc) == {

@@ -2,7 +2,7 @@
 
 import pytest
 
-from asnum.anumber import a_number_fast, a_number_oracle
+from asnum.anumber import a_number_fast, a_number_oracle, obstruction_matrix
 from asnum.bounds import lower_bound_single
 from asnum.curve import BasicCurve
 from asnum.families import (
@@ -14,6 +14,7 @@ from asnum.families import (
     verify_family,
 )
 from asnum.fppoly import parse_poly
+from asnum.linalg import _echelon, _peel
 
 
 def poly5(text):
@@ -163,3 +164,15 @@ class TestVerifyFamily:
             check = verify_family(p, d)
             curve = BasicCurve.from_poly(p, check.f)
             assert a_number_oracle(curve) == check.a == check.bound, (p, d)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_obstruction_matrices_peel_to_a_tiny_core(self, p):
+        # the speed of ranking a family member rests on this: the zero
+        # pattern alone fixes all but at most a 2 x 2 core of its pivots
+        for d in [*range(1, 121), 451, 499]:
+            if d % p == 0:
+                continue
+            m = obstruction_matrix(BasicCurve.from_poly(p, minimal_family(p, d)[0]))
+            peeled, core = _peel(m.a)
+            assert core.size <= 4, (p, d, core.shape)
+            assert peeled + len(_echelon(core, p)[1]) == len(_echelon(m.a, p)[1]), (p, d)

@@ -3,8 +3,18 @@
 import numpy as np
 import pytest
 
-from asnum.linalg import FpMatrix, kernel_basis, rank_nullity, stack_ranks
+from asnum.linalg import FpMatrix, _echelon, _peel, kernel_basis, rank_nullity, stack_ranks
 from asnum.numutil import HeadroomError
+
+
+def sparse(rng, p, rows, cols, density):
+    """A random rows x cols matrix mod p whose entries are nonzero with probability density."""
+    mask = rng.random((rows, cols)) < density
+    return np.where(mask, rng.integers(1, p, size=(rows, cols)), 0)
+
+
+def echelon_rank(a, p):
+    return len(_echelon(a, p)[1])
 
 
 def test_rank_nullity_examples():
@@ -51,6 +61,14 @@ def test_rank_equals_rank_of_transpose():
             rows, cols = int(rng.integers(1, 10)), int(rng.integers(1, 10))
             m = rng.integers(0, p, size=(rows, cols))
             assert rank_nullity(FpMatrix(p, m))[0] == rank_nullity(FpMatrix(p, m.T))[0]
+    # sparse inputs peel; the peel tries columns before rows, so a matrix and
+    # its transpose take different peels to the same rank
+    rng = np.random.default_rng(12)
+    for p in (2, 3, 5, 13):
+        for _ in range(25):
+            rows, cols = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+            m = sparse(rng, p, rows, cols, rng.choice([0.05, 0.1, 0.2]))
+            assert rank_nullity(FpMatrix(p, m))[0] == rank_nullity(FpMatrix(p, m.T))[0]
 
 
 def test_elimination_checks_int64_headroom():
@@ -64,6 +82,66 @@ def test_elimination_checks_int64_headroom():
         kernel_basis(m)
     with pytest.raises(HeadroomError, match="stacked elimination"):
         stack_ranks(m.a[None].copy(), p)
+
+
+def test_headroom_checked_before_the_peel():
+    # diag(p - 1, 1) peels to an empty core, so no product is ever formed;
+    # the precondition still holds for every matrix at this p
+    p = 2**32 + 15
+    m = FpMatrix(p, [[p - 1, 0], [0, 1]])
+    assert _peel(m.a)[1].size == 0
+    with pytest.raises(HeadroomError, match="elimination"):
+        rank_nullity(m)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_peel_matches_echelon_on_sparse_matrices(p):
+    rng = np.random.default_rng(100 + p)
+    for rows, cols in ((0, 5), (5, 0), (1, 1), (6, 6), (3, 17), (17, 3), (40, 40)):
+        assert rank_nullity(FpMatrix(p, np.zeros((rows, cols)))) == (0, cols)
+        for density in (0.02, 0.08, 0.2, 0.5):
+            for _ in range(4):
+                m = sparse(rng, p, rows, cols, density)
+                peeled, core = _peel(m)
+                assert peeled + echelon_rank(core, p) == echelon_rank(m, p)
+                assert rank_nullity(FpMatrix(p, m))[0] == echelon_rank(m, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_peel_planted_singletons(p):
+    rng = np.random.default_rng(200 + p)
+    for _ in range(10):
+        # columns 3.. hold no zero, so the only singletons are the planted ones:
+        # columns 0 and 1 share row 3, column 2 sits alone in row 7; row 9 is zero
+        m = np.zeros((12, 15), dtype=np.int64)
+        m[:, 3:] = rng.integers(1, p, size=(12, 12))
+        m[3, 0], m[3, 1], m[7, 2] = rng.integers(1, p, size=3)
+        m[9] = 0
+        # one pivot per row, then one round of 2 pivots is worth less than
+        # the scan, so the rest is the core
+        peeled, core = _peel(m)
+        assert (peeled, core.shape) == (2, (9, 12))
+        assert rank_nullity(FpMatrix(p, m))[0] == echelon_rank(m, p)
+        # transposed, there is no singleton column: the rows peel, one pivot
+        # per column, and the zero row is a zero column
+        peeled, core = _peel(m.T)
+        assert (peeled, core.shape) == (2, (12, 9))
+        assert rank_nullity(FpMatrix(p, m.T))[0] == echelon_rank(m, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_peel_stops_on_a_chain_of_one_pivot_rounds(p):
+    # upper bidiagonal: only column 0 is a singleton, and peeling it leaves
+    # the same shape again.  One pivot against n columns is worth less than a
+    # scan of 2n - 1 nonzeros, so the peel stops and _echelon ranks the rest.
+    rng = np.random.default_rng(300 + p)
+    n = 30
+    m = np.diag(rng.integers(1, p, size=n)) + np.diag(rng.integers(1, p, size=n - 1), 1)
+    peeled, core = _peel(m)
+    assert (peeled, core.shape) == (1, (n - 1, n - 1))
+    assert rank_nullity(FpMatrix(p, m)) == (n, 0)
+    m[n // 2, n // 2] = 0
+    assert rank_nullity(FpMatrix(p, m))[0] == echelon_rank(m % p, p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 13])
