@@ -102,9 +102,10 @@ def test_peel_matches_echelon_on_sparse_matrices(p):
         for density in (0.02, 0.08, 0.2, 0.5):
             for _ in range(4):
                 m = sparse(rng, p, rows, cols, density)
+                rank = echelon_rank(m, p)
                 peeled, core = _peel(m)
-                assert peeled + echelon_rank(core, p) == echelon_rank(m, p)
-                assert rank_nullity(FpMatrix(p, m))[0] == echelon_rank(m, p)
+                assert peeled + echelon_rank(core, p) == rank
+                assert rank_nullity(FpMatrix(p, m))[0] == rank
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
@@ -141,7 +142,7 @@ def test_peel_stops_on_a_chain_of_one_pivot_rounds(p):
     assert (peeled, core.shape) == (1, (n - 1, n - 1))
     assert rank_nullity(FpMatrix(p, m)) == (n, 0)
     m[n // 2, n // 2] = 0
-    assert rank_nullity(FpMatrix(p, m))[0] == echelon_rank(m % p, p)
+    assert rank_nullity(FpMatrix(p, m))[0] == echelon_rank(m, p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 13])
