@@ -2,7 +2,7 @@
 
 Exact arithmetic over prime fields for covers y^p - y = f branched only at
 infinity: the combinatorial lower bound on the a-number, two independent
-a-number computations, explicit minimal families for p = 3 and p = 5, and
+a-number computations, explicit minimal families for p = 3, 5 and 7, and
 reproducible randomized surveys.
 """
 
@@ -44,10 +44,7 @@ from .experiments import (
 )
 from .families import (
     FamilyCheck,
-    family_p3,
-    family_p5_binomial,
     family_p5_mod5,
-    family_p5_trinomial25,
     minimal_family,
     verify_family,
 )
@@ -88,10 +85,7 @@ __all__ = [
     "cartier_matrix",
     "distribution",
     "domain_basis",
-    "family_p3",
-    "family_p5_binomial",
     "family_p5_mod5",
-    "family_p5_trinomial25",
     "is_regular",
     "kernel_basis",
     "level_exponents",

@@ -75,16 +75,15 @@ def cmd_anumber(args) -> int:
 
 
 def cmd_family(args) -> int:
-    if args.p not in (3, 5):
-        print(f"error: families are available for p in {{3, 5}}, not p = {args.p}",
-              file=sys.stderr)
-        return 1
     if args.d is not None:
-        f, strategy = minimal_family(args.p, args.d)
+        if args.verify:
+            check = verify_family(args.p, args.d)
+            f, strategy = check.f, check.strategy
+        else:
+            f, strategy = minimal_family(args.p, args.d)
         print(f"f = {f}")
         print(f"strategy = {strategy}")
         if args.verify:
-            check = verify_family(args.p, args.d)
             print(f"a = {check.a}")
             print(f"L = {check.bound}")
             print("ok" if check.ok else "MISMATCH")
@@ -185,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--method", choices=("fast", "oracle", "both"), default="fast")
     q.set_defaults(func=cmd_anumber)
 
-    q = sub.add_parser("family", help="minimal-a-number family members (p = 3 or 5)")
-    q.add_argument("--p", type=int, required=True)
+    q = sub.add_parser("family", help="minimal-a-number family members (p = 3, 5 or 7)")
+    q.add_argument("--p", type=_prime, required=True)
     g = q.add_mutually_exclusive_group(required=True)
     g.add_argument("--d", type=int)
     g.add_argument("--dmax", type=int, help="verify every valid d up to this bound")

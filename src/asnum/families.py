@@ -1,11 +1,21 @@
-"""Explicit degree-d covers over F_3 and F_5 attaining the a-number lower bound.
+"""Explicit degree-d covers over F_3, F_5 and F_7 attaining the a-number lower bound.
 
-Each constructor returns a polynomial f of degree d such that y^p - y = f has
-the minimal a-number.  For p = 5 there are three constructions: a binomial
-for most residues of d mod 25, a trinomial for the remaining residues, and a
-trinomial keyed on d mod 5 that covers everything; ``minimal_family`` tries
-them in that order.  The residue tables are literal data found by exhaustive
-machine search, not re-derived from formulas.
+``minimal_family(p, d)`` returns a polynomial f of degree d such that
+y^p - y = f has the minimal a-number L(d).  Writing d = p^2 m + delta, almost
+every member is the table row for delta: x^d plus one unit monomial
+x^(slope m + shift) per (slope, shift) term.  A few small degrees take a
+fixed polynomial instead, most of them because a row exponent would leave
+[1, d).  For p = 5 the degree 16 keeps the trinomial keyed on d mod 5
+(``family_p5_mod5``), which covers every d but whose exponents have floors,
+so it is no table row.
+
+The tables are literal data found by machine search, not re-derived from
+formulas, and a claim covers only the degrees a sweep verified: every member
+with d <= 500 for p = 3, 5 and 7 (the acceptance sweeps), and for p = 7 every
+member with d <= 1028 (``asnum family --p 7 --dmax 1028``).  For p = 7, where
+the paper leaves the question mostly open, its patching reduction turns this
+into: for an ordinary X, the bound is realized for every branch locus whose
+jumps are all verified degrees.
 """
 
 from dataclasses import dataclass
@@ -14,115 +24,131 @@ from .anumber import a_number_fast
 from .bounds import lower_bound_single
 from .curve import BasicCurve
 from .fppoly import FpPoly
-from .numutil import ceil_div, check_degree
+from .numutil import check_degree
 
-# second exponent of x^d + x^(15m + shift) per residue d = 25m + delta;
-# the six residues 3, 7, 9, 16, 18, 22 admit no binomial with minimal a-number
-BINOMIAL_SHIFT = {
-    1: 3,
-    2: 1,
-    4: 2,
-    6: 3,
-    8: 4,
-    11: 8,
-    12: 6,
-    13: 9,
-    14: 7,
-    17: 11,
-    19: 12,
-    21: 13,
-    23: 14,
-    24: 12,
+# p -> {delta: (strategy, ((slope, shift), ...))}: for d = p^2 m + delta the
+# member is x^d + sum of x^(slope m + shift).  Every coprime residue has one
+# row; p = 5 has binomials for 14 residues and mod-25 trinomials for the rest.
+ROWS = {
+    3: {
+        1: ("p3", ((6, 2),)),
+        2: ("p3", ((6, 1),)),
+        4: ("p3", ((6, 2),)),
+        5: ("p3", ((6, 4),)),
+        7: ("p3", ((6, 5),)),
+        8: ("p3", ((6, 4),)),
+    },
+    5: {
+        1: ("p5_binomial", ((15, 3),)),
+        2: ("p5_binomial", ((15, 1),)),
+        3: ("p5_trinomial25", ((15, 4), (5, 1))),
+        4: ("p5_binomial", ((15, 2),)),
+        6: ("p5_binomial", ((15, 3),)),
+        7: ("p5_trinomial25", ((15, 6), (5, 3))),
+        8: ("p5_binomial", ((15, 4),)),
+        9: ("p5_trinomial25", ((15, 7), (5, 3))),
+        11: ("p5_binomial", ((15, 8),)),
+        12: ("p5_binomial", ((15, 6),)),
+        13: ("p5_binomial", ((15, 9),)),
+        14: ("p5_binomial", ((15, 7),)),
+        16: ("p5_trinomial25", ((15, 13), (5, 4))),
+        17: ("p5_binomial", ((15, 11),)),
+        18: ("p5_trinomial25", ((15, 14), (5, 6))),
+        19: ("p5_binomial", ((15, 12),)),
+        21: ("p5_binomial", ((15, 13),)),
+        22: ("p5_trinomial25", ((15, 16), (5, 8))),
+        23: ("p5_binomial", ((15, 14),)),
+        24: ("p5_binomial", ((15, 12),)),
+    },
+    # binomials for 22 residues; trinomials with lower slopes (28, 7) for 13,
+    # (35, 14) for 2, and x^(d-1) = x^(49 m + delta - 1) with slope 28 for 5
+    7: {
+        1: ("p7_binomial", ((28, 4),)),
+        2: ("p7_binomial", ((28, 1),)),
+        3: ("p7_trinomial49", ((49, 2), (28, 6))),
+        4: ("p7_binomial", ((28, 2),)),
+        5: ("p7_trinomial28", ((28, 6), (7, 3))),
+        6: ("p7_binomial", ((28, 3),)),
+        8: ("p7_binomial", ((28, 4),)),
+        9: ("p7_trinomial28", ((28, 8), (7, 5))),
+        10: ("p7_binomial", ((28, 5),)),
+        11: ("p7_trinomial28", ((28, 9), (7, 3))),
+        12: ("p7_binomial", ((28, 6),)),
+        13: ("p7_trinomial35", ((35, 10), (14, 10))),
+        15: ("p7_binomial", ((28, 11),)),
+        16: ("p7_binomial", ((28, 8),)),
+        17: ("p7_trinomial49", ((49, 16), (28, 13))),
+        18: ("p7_trinomial28", ((28, 37), (7, 30))),
+        19: ("p7_trinomial28", ((28, 13), (7, 3))),
+        20: ("p7_binomial", ((28, 10),)),
+        22: ("p7_trinomial28", ((28, 18), (7, 5))),
+        23: ("p7_trinomial28", ((28, 15), (7, 5))),
+        24: ("p7_binomial", ((28, 12),)),
+        25: ("p7_binomial", ((28, 16),)),
+        26: ("p7_trinomial35", ((35, 20), (14, 13))),
+        27: ("p7_trinomial49", ((49, 26), (28, 18))),
+        29: ("p7_binomial", ((28, 18),)),
+        30: ("p7_trinomial28", ((28, 22), (7, 10))),
+        31: ("p7_trinomial49", ((49, 30), (28, 20))),
+        32: ("p7_trinomial28", ((28, 51), (7, 37))),
+        33: ("p7_binomial", ((28, 20),)),
+        34: ("p7_binomial", ((28, 17),)),
+        36: ("p7_trinomial28", ((28, 25), (7, 6))),
+        37: ("p7_binomial", ((28, 22),)),
+        38: ("p7_trinomial28", ((28, 26), (7, 9))),
+        39: ("p7_binomial", ((28, 23),)),
+        40: ("p7_trinomial28", ((28, 27), (7, 8))),
+        41: ("p7_binomial", ((28, 24),)),
+        43: ("p7_binomial", ((28, 25),)),
+        44: ("p7_trinomial28", ((28, 29), (7, 10))),
+        45: ("p7_binomial", ((28, 26),)),
+        46: ("p7_trinomial49", ((49, 45), (28, 27))),
+        47: ("p7_binomial", ((28, 27),)),
+        48: ("p7_binomial", ((28, 24),)),
+    },
 }
 
-# lower exponents of x^d + x^(15m + s1) + x^(5m + s2) for the six residues
-# d = 25m + delta that the binomial family misses; every row is verified to
-# attain the bound for all m by the degree sweep in the test suite
-TRINOMIAL25_SHIFTS = {
-    3: (4, 1),
-    7: (6, 3),
-    9: (7, 3),
-    16: (13, 4),
-    18: (14, 6),
-    22: (16, 8),
+# p -> {d: exponents of a unit-coefficient member}: the small degrees that
+# take a fixed polynomial instead of their row
+SMALL_D = {
+    3: {1: (1,)},
+    5: {1: (1,), 2: (2,), 3: (3, 2), 4: (4,)},
+    7: {1: (1,), 3: (3,), 5: (5, 3), 18: (18, 13), 32: (32, 23, 9)},
 }
 
-
-def family_p3(d: int) -> FpPoly:
-    """The minimal-a-number binomial of degree d over F_3.
-
-    The second exponent is chosen so that, residue class by residue class,
-    every obstruction slot reachable from the middle level is hit by a
-    distinct basis tuple.  Degree 1 is a special case (x itself): the generic
-    shift formula would overshoot the degree there.
-    """
-    check_degree(3, d)
-    if d == 1:
-        return FpPoly.monomial(3, 1)
-    c = ceil_div(d, 3)
-    if d % 3 == 1:
-        b = 3 * ceil_div(c - 1, 3) - 1  # largest b = 2 (mod 3) with b <= c
-        return FpPoly.monomial(3, d) + FpPoly.monomial(3, d - b)
-    b = 3 * ceil_div(c - 2, 3)  # largest multiple of 3 with b <= c
-    return FpPoly.monomial(3, d) + FpPoly.monomial(3, d - b - 1)
+# p = 5 degrees whose row applies but which stay on the mod-5 family
+MOD5_DEGREES = {16}
 
 
-def family_p5_binomial(d: int) -> FpPoly | None:
-    """The minimal-a-number binomial of degree d over F_5, or None.
+def _unit_poly(p: int, exponents) -> FpPoly:
+    """The sum of x^e over the exponents; coinciding exponents add."""
+    coeffs = [0] * (max(exponents) + 1)
+    for e in exponents:
+        coeffs[e] += 1
+    return FpPoly(p, coeffs)
 
-    None when d mod 25 has no binomial row, and for d = 1 where the tabulated
-    second exponent would exceed the degree.
-    """
-    check_degree(5, d)
-    m, delta = divmod(d, 25)
-    shift = BINOMIAL_SHIFT.get(delta)
-    if shift is None:
+
+def _row(p: int, d: int, terms) -> FpPoly | None:
+    """x^d + sum of x^(slope m + shift) for d = p^2 m + delta, or None when
+    an exponent falls outside [1, d), where the row does not apply."""
+    m = d // (p * p)
+    lower = [slope * m + shift for slope, shift in terms]
+    if not all(1 <= e < d for e in lower):
         return None
-    lo = 15 * m + shift
-    if lo >= d:
-        return None
-    return FpPoly.monomial(5, d) + FpPoly.monomial(5, lo)
-
-
-def family_p5_trinomial25(d: int) -> FpPoly | None:
-    """The mod-25 trinomial of degree d over F_5, or None when inapplicable.
-
-    Only the six residues missing from the binomial table have rows here.
-    Inapplicable cases fall through to the mod-5 family: d = 3 (the middle
-    exponent would exceed the degree) and d = 16 (kept on the mod-5 route; see
-    family_p5_mod5 for its trinomial).
-    """
-    check_degree(5, d)
-    m, delta = divmod(d, 25)
-    row = TRINOMIAL25_SHIFTS.get(delta)
-    if row is None:
-        return None
-    if m == 0 and delta == 16:
-        return None
-    mid = 15 * m + row[0]
-    low = 5 * m + row[1]
-    if low < 1 or mid >= d:
-        return None
-    return FpPoly.monomial(5, d) + FpPoly.monomial(5, mid) + FpPoly.monomial(5, low)
+    return _unit_poly(p, [d, *lower])
 
 
 def family_p5_mod5(d: int) -> FpPoly:
     """The trinomial of degree d over F_5 keyed on d mod 5.
 
-    Defined for every d coprime to 5: degrees 1 through 4 use x, x^2,
-    x^3 + x^2, x^4, and larger degrees use one trinomial per residue class.
-    For small quotients n two of the three exponents can coincide, in which
-    case their coefficients add.
+    Defined for every d coprime to 5: degrees 1 through 4 use their fixed
+    small-degree members (x, x^2, x^3 + x^2, x^4), and larger degrees use one
+    trinomial per residue class.  For small quotients n two of the three
+    exponents can coincide, in which case their coefficients add.
     """
     check_degree(5, d)
-    if d == 1:
-        return FpPoly.monomial(5, 1)
-    if d == 2:
-        return FpPoly.monomial(5, 2)
-    if d == 3:
-        return FpPoly.monomial(5, 3) + FpPoly.monomial(5, 2)
-    if d == 4:
-        return FpPoly.monomial(5, 4)
+    if d < 5:
+        return _unit_poly(5, SMALL_D[5][d])
     n, c = divmod(d, 5)
     if c == 1:
         mid = 5 * n - 1
@@ -136,34 +162,34 @@ def family_p5_mod5(d: int) -> FpPoly:
     else:
         mid = 5 * n + 2
         low = 5 * n - 5 * (2 * (n + 1) // 5) + 3
-    return (
-        FpPoly.monomial(5, d)
-        + FpPoly.monomial(5, mid)
-        + FpPoly.monomial(5, low)
-    )
+    return _unit_poly(5, (d, mid, low))
 
 
 def minimal_family(p: int, d: int) -> tuple[FpPoly, str]:
     """A degree-d polynomial attaining the bound, with the strategy that chose it.
 
-    Strategies: "p3", "p5_binomial", "p5_trinomial25", "p5_trinomial5" (the
-    mod-5 table) and "small_d" for the handful of degrees below the generic
-    constructions.
+    Strategies: "small_d" for the fixed small-degree members; the table rows
+    "p3", "p5_binomial", "p5_trinomial25", "p7_binomial", "p7_trinomial28",
+    "p7_trinomial35" and "p7_trinomial49" (named by the slope of their middle
+    term); and "p5_trinomial5" for the mod-5 family.  Raises ValueError for a
+    prime without tables and for d not coprime to p.
     """
-    if p == 3:
-        f = family_p3(d)
-        return f, ("small_d" if d == 1 else "p3")
+    if p not in ROWS:
+        raise ValueError(
+            f"no families available for p = {p}; only p in "
+            f"{{{', '.join(map(str, sorted(ROWS)))}}}"
+        )
+    check_degree(p, d)
+    exponents = SMALL_D[p].get(d)
+    if exponents is not None:
+        return _unit_poly(p, exponents), "small_d"
+    strategy, terms = ROWS[p][d % (p * p)]
+    f = None if p == 5 and d in MOD5_DEGREES else _row(p, d, terms)
+    if f is not None:
+        return f, strategy
     if p == 5:
-        if d < 5:
-            return family_p5_mod5(d), "small_d"
-        f = family_p5_binomial(d)
-        if f is not None:
-            return f, "p5_binomial"
-        f = family_p5_trinomial25(d)
-        if f is not None:
-            return f, "p5_trinomial25"
         return family_p5_mod5(d), "p5_trinomial5"
-    raise ValueError(f"no families available for p = {p}; only p = 3 and p = 5")
+    raise ValueError(f"no table row applies to d = {d} for p = {p}")
 
 
 @dataclass(frozen=True)

@@ -127,9 +127,22 @@ class TestFamily:
         assert err.startswith("error: --dmax must be at least 1")
 
     def test_unsupported_prime(self, capsys):
-        code, _, err = run(capsys, "family", "--p", "7", "--d", "4")
-        assert code != 0
-        assert "p in {3, 5}" in err
+        code, out, err = run(capsys, "family", "--p", "11", "--d", "4")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: no families available for p = 11")
+        assert "p in {3, 5, 7}" in err
+
+    def test_p7_member(self, capsys):
+        code, out, _ = run(capsys, "family", "--p", "7", "--d", "13", "--verify")
+        assert code == 0
+        assert out == "f = x^13+2*x^10\nstrategy = p7_trinomial35\na = 20\nL = 20\nok\n"
+
+    def test_non_prime_p_is_a_usage_error(self, capsys):
+        # p = 1 would otherwise skip every degree and report 0/0
+        with pytest.raises(SystemExit) as exc:
+            main(["family", "--p", "1", "--dmax", "5"])
+        assert exc.value.code == 2
 
 
 class TestExperiment:

@@ -1,19 +1,14 @@
-"""Family constructors: exact polynomials, applicability, bound attainment."""
+"""Family members: exact polynomials, table data, bound attainment."""
+
+import hashlib
 
 import pytest
 
 from asnum.anumber import a_number_fast, a_number_oracle, obstruction_matrix
 from asnum.bounds import lower_bound_single
 from asnum.curve import BasicCurve
-from asnum.families import (
-    family_p3,
-    family_p5_binomial,
-    family_p5_mod5,
-    family_p5_trinomial25,
-    minimal_family,
-    verify_family,
-)
-from asnum.fppoly import parse_poly
+from asnum.families import ROWS, family_p5_mod5, minimal_family, verify_family
+from asnum.fppoly import FpPoly, parse_poly
 from asnum.linalg import _echelon, _peel
 
 
@@ -25,72 +20,141 @@ def poly3(text):
     return parse_poly(text, 3)
 
 
+def poly7(text):
+    return parse_poly(text, 7)
+
+
+def attaining_binomials(p, d):
+    """Every e in [1, d) coprime to p such that x^d + x^e attains L(d)."""
+    bound = lower_bound_single(p, d)
+    found = []
+    for e in range(1, d):
+        if e % p == 0:
+            continue
+        f = FpPoly(p, [0] * e + [1] + [0] * (d - e - 1) + [1])
+        if a_number_fast(BasicCurve.from_poly(p, f)) == bound:
+            found.append(e)
+    return found
+
+
+def binomial_row_by_search(p, delta):
+    """The (slope, shift) of the unique attaining binomials at m = 1 and 2."""
+    (e1,) = attaining_binomials(p, p * p + delta)
+    (e2,) = attaining_binomials(p, 2 * p * p + delta)
+    return e2 - e1, 2 * e1 - e2
+
+
+def assert_normalized(f, p, d):
+    assert f.degree == d
+    # already normalized: no exponent divisible by p, no constant
+    assert all(c == 0 for e, c in enumerate(f.coeffs) if e % p == 0)
+
+
+def members(p, dmax, strategy):
+    for d in range(1, dmax):
+        if d % p:
+            f, s = minimal_family(p, d)
+            if s == strategy:
+                yield d, f
+
+
 class TestFamilyP3:
     def test_examples(self):
-        assert family_p3(4) == poly3("x^4+x^2")
-        assert family_p3(7) == poly3("x^7+x^5")
-        assert family_p3(5) == poly3("x^5+x^4")
-        assert family_p3(1) == poly3("x")
+        assert minimal_family(3, 4) == (poly3("x^4+x^2"), "p3")
+        assert minimal_family(3, 7) == (poly3("x^7+x^5"), "p3")
+        assert minimal_family(3, 5) == (poly3("x^5+x^4"), "p3")
+        assert minimal_family(3, 1) == (poly3("x"), "small_d")
 
     def test_rejects_multiples_of_three(self):
         with pytest.raises(ValueError):
-            family_p3(6)
+            minimal_family(3, 6)
 
     def test_shape(self):
-        for d in range(1, 200):
-            if d % 3 == 0:
-                continue
-            f = family_p3(d)
-            assert f.degree == d
-            # already normalized: no exponent divisible by 3, no constant
-            assert all(c == 0 for e, c in enumerate(f.coeffs) if e % 3 == 0)
+        # every degree but 1 is a binomial row
+        assert [d for d, _ in members(3, 200, "small_d")] == [1]
+        for d, f in members(3, 200, "p3"):
+            assert_normalized(f, 3, d)
+            assert sum(1 for c in f.coeffs if c) == 2
 
 
 class TestFamilyP5Binomial:
     def test_examples(self):
-        assert family_p5_binomial(11) == poly5("x^11+x^8")
-        assert family_p5_binomial(27) == poly5("x^27+x^16")
-        assert family_p5_binomial(28) is None  # residue 3 has no binomial row
+        assert minimal_family(5, 11) == (poly5("x^11+x^8"), "p5_binomial")
+        assert minimal_family(5, 27) == (poly5("x^27+x^16"), "p5_binomial")
+        # residue 3 has no binomial row
+        assert minimal_family(5, 28)[1] == "p5_trinomial25"
 
     def test_missing_residues(self):
         for delta in (3, 7, 9, 16, 18, 22):
             for m in (0, 1, 3):
-                assert family_p5_binomial(25 * m + delta) is None
+                d = 25 * m + delta
+                expected = {3: "small_d", 16: "p5_trinomial5"}.get(d, "p5_trinomial25")
+                assert minimal_family(5, d)[1] == expected, d
 
     def test_degree_one_has_no_binomial(self):
-        assert family_p5_binomial(1) is None
+        assert minimal_family(5, 1) == (poly5("x"), "small_d")
 
     def test_shape(self):
-        for d in range(2, 300):
-            if d % 5 == 0:
-                continue
-            f = family_p5_binomial(d)
-            if f is None:
-                continue
-            assert f.degree == d
-            assert all(c == 0 for e, c in enumerate(f.coeffs) if e % 5 == 0)
+        for d, f in members(5, 300, "p5_binomial"):
+            assert_normalized(f, 5, d)
             assert sum(1 for c in f.coeffs if c) == 2
 
 
 class TestFamilyP5Trinomial25:
     def test_examples(self):
-        assert family_p5_trinomial25(28) == poly5("x^28+x^19+x^6")
-        assert family_p5_trinomial25(16) is None  # handled by the mod-5 family
-        assert family_p5_trinomial25(11) is None  # binomial residue
+        assert minimal_family(5, 28) == (poly5("x^28+x^19+x^6"), "p5_trinomial25")
+        # its row applies, but d = 16 keeps the mod-5 family's trinomial
+        assert minimal_family(5, 16) == (poly5("x^16+x^14+x^9"), "p5_trinomial5")
+        assert minimal_family(5, 11)[1] == "p5_binomial"  # binomial residue
 
     def test_low_degree_residue_3_inapplicable(self):
-        assert family_p5_trinomial25(3) is None
+        # the row's middle exponent 4 would exceed the degree
+        assert minimal_family(5, 3) == (poly5("x^3+x^2"), "small_d")
 
     def test_shape(self):
-        for d in range(2, 300):
-            if d % 5 == 0:
-                continue
-            f = family_p5_trinomial25(d)
-            if f is None:
-                continue
-            assert f.degree == d
-            assert all(c == 0 for e, c in enumerate(f.coeffs) if e % 5 == 0)
+        for d, f in members(5, 300, "p5_trinomial25"):
+            assert_normalized(f, 5, d)
             assert sum(1 for c in f.coeffs if c) == 3
+
+
+class TestFamilyP7:
+    def test_small_degrees(self):
+        for d, text in {1: "x", 3: "x^3", 5: "x^5+x^3", 18: "x^18+x^13",
+                        32: "x^32+x^23+x^9"}.items():
+            assert minimal_family(7, d) == (poly7(text), "small_d"), d
+
+    def test_examples(self):
+        assert minimal_family(7, 2) == (poly7("x^2+x"), "p7_binomial")
+        assert minimal_family(7, 64) == (poly7("x^64+x^39"), "p7_binomial")
+        assert minimal_family(7, 54) == (poly7("x^54+x^34+x^10"), "p7_trinomial28")
+        assert minimal_family(7, 75) == (poly7("x^75+x^55+x^27"), "p7_trinomial35")
+        # x^(d - 1) is the row's (49, delta - 1) term
+        assert minimal_family(7, 52) == (poly7("x^52+x^51+x^34"), "p7_trinomial49")
+
+    def test_coinciding_exponents_add(self):
+        # d = 13, m = 0: both lower terms of the (35, 14) row land on x^10
+        assert minimal_family(7, 13) == (poly7("x^13+2*x^10"), "p7_trinomial35")
+
+    def test_shape(self):
+        for d in range(1, 300):
+            if d % 7:
+                assert_normalized(minimal_family(7, d)[0], 7, d)
+
+
+class TestTableSearch:
+    """The literal rows agree with a fresh search over unit binomials."""
+
+    def test_p3_table(self):
+        for delta, row in ROWS[3].items():
+            slope, shift = binomial_row_by_search(3, delta)
+            assert row == ("p3", ((slope, shift),)), delta
+            assert slope == 6
+
+    @pytest.mark.parametrize("delta", [1, 2, 15])
+    def test_p7_binomial_rows(self, delta):
+        slope, shift = binomial_row_by_search(7, delta)
+        assert slope == 28
+        assert ROWS[7][delta] == ("p7_binomial", ((28, shift),))
 
 
 class TestFamilyP5Mod5:
@@ -131,10 +195,23 @@ class TestMinimalFamily:
         assert minimal_family(5, 28)[1] == "p5_trinomial25"
         assert minimal_family(5, 16)[1] == "p5_trinomial5"
         assert minimal_family(5, 3)[1] == "small_d"
+        assert minimal_family(7, 17 + 49)[1] == "p7_trinomial49"
+        assert minimal_family(7, 32)[1] == "small_d"
 
     def test_unsupported_prime(self):
-        with pytest.raises(ValueError):
-            minimal_family(7, 4)
+        with pytest.raises(ValueError, match=r"only p in \{3, 5, 7\}"):
+            minimal_family(11, 4)
+
+    def test_p3_p5_members_pinned(self):
+        # recorded from the three hand-written constructors the tables replaced
+        h = hashlib.sha1()
+        for p in (3, 5):
+            for d in range(1, 1001):
+                if d % p == 0:
+                    continue
+                f, strategy = minimal_family(p, d)
+                h.update(f"{p},{d},{strategy},{','.join(map(str, f.coeffs))};".encode())
+        assert h.hexdigest() == "853a9ae112f99915f26cee8cea8e162194d8cff8"
 
 
 class TestVerifyFamily:
@@ -145,6 +222,8 @@ class TestVerifyFamily:
         assert check.ok and check.a == check.bound == 10
         check = verify_family(5, 16)
         assert check.ok and check.a == check.bound == 15
+        check = verify_family(7, 13)
+        assert check.ok and check.a == check.bound == 20
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_sweep_medium_range(self, p):
@@ -155,7 +234,7 @@ class TestVerifyFamily:
             assert check.ok, (p, d, str(check.f), check.a, check.bound)
             assert check.f.degree == d
 
-    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("p", [3, 5, 7])
     def test_oracle_confirms_family_members(self, p):
         # the independent full-matrix computation agrees on every small member
         for d in range(1, 41):
