@@ -8,17 +8,12 @@ reproducible randomized surveys.
 
 from .anumber import (
     ANumberReport,
-    CoverDifferential,
     InvariantViolation,
-    KernelTuple,
     a_number_fast,
     a_number_oracle,
     cartier_matrix,
-    is_regular,
     obstruction_matrix,
-    obstruction_vector,
     p_rank,
-    reconstruct,
     report,
 )
 from .bounds import (
@@ -52,12 +47,10 @@ from .fppoly import (
     FpPoly,
     PolyParseError,
     SplitCoverError,
-    cartier,
     normalize_artin_schreier,
     parse_poly,
-    section_after_cartier,
 )
-from .linalg import FpMatrix, kernel_basis, rank_nullity
+from .linalg import FpMatrix, rank_nullity
 from .numutil import HeadroomError
 
 __version__ = "0.1.0"
@@ -65,14 +58,12 @@ __version__ = "0.1.0"
 __all__ = [
     "ANumberReport",
     "BasicCurve",
-    "CoverDifferential",
     "Distribution",
     "FamilyCheck",
     "FpMatrix",
     "FpPoly",
     "HeadroomError",
     "InvariantViolation",
-    "KernelTuple",
     "PolyParseError",
     "RamificationData",
     "SearchResult",
@@ -81,13 +72,10 @@ __all__ = [
     "a_number_fast",
     "a_number_oracle",
     "block_count",
-    "cartier",
     "cartier_matrix",
     "distribution",
     "domain_basis",
     "family_p5_mod5",
-    "is_regular",
-    "kernel_basis",
     "level_exponents",
     "level_sum",
     "lower_bound",
@@ -99,15 +87,12 @@ __all__ = [
     "minimal_family",
     "normalize_artin_schreier",
     "obstruction_matrix",
-    "obstruction_vector",
     "p_rank",
     "parse_poly",
     "rank_nullity",
-    "reconstruct",
     "report",
     "sample_poly",
     "sample_space_size",
-    "section_after_cartier",
     "threshold",
     "verify_family",
 ]

@@ -1,8 +1,10 @@
 """Two independent a-number computations for a basic cover, plus the p-rank.
 
-Fast path: for each basis kernel tuple, reconstruct the corresponding
-differential on the cover level by level and record the coefficients that can
-spoil regularity; the a-number is the nullity of that obstruction matrix.
+Fast path: a tuple of line differentials killed by the Cartier operator, one
+per level, lifts level by level to a differential on the cover.  The lift is
+linear, and the obstruction matrix records, for each basis tuple, the
+coefficients that can spoil its regularity; the a-number is the nullity of
+that matrix.
 
 Oracle path: the matrix of the Cartier operator of the cover itself on the
 full monomial basis x^j y^i dx of regular differentials, and its kernel
@@ -14,13 +16,10 @@ table of powers (-f)^e, so their agreement is a meaningful end-to-end check.
 The power table and the obstruction build take a stack of polynomials of one
 degree, one row each, since every matrix shape depends only on (p, d): the
 survey engine builds a whole chunk of covers in one pass, and a single curve
-is a stack of one.
-
-Line differentials h dx are held as the FpPoly h.  The table is built with
-numpy in int64, and the builds' int64 sums are checked for headroom before
-anything is built.  reconstruct, the column reference for the fast build,
-builds its own powers with exact FpPoly products, so it shares no
-arithmetic with that table.
+is a stack of one.  The table is built with numpy in int64, and the builds'
+int64 sums are checked for headroom before anything is built.  The tests
+check every column of the obstruction matrix against a lift of one tuple at
+a time in exact FpPoly arithmetic, which builds its own powers.
 
 The p-rank is 0.  The oracle certifies it on the matrix it builds: in the
 level-major basis the Cartier operator sends x^j y^i dx either to a lower
@@ -38,104 +37,13 @@ from itertools import accumulate
 import numpy as np
 
 from .bounds import lower_bound_single
-from .curve import BasicCurve, domain_basis, level_exponents
-from .fppoly import FpPoly, cartier, section_after_cartier
+from .curve import BasicCurve, level_exponents
 from .linalg import FpMatrix, rank_nullity
 from .numutil import check_int64_sum
 
 
 class InvariantViolation(AssertionError):
     """A structural invariant of the computation failed: a bug, not bad input."""
-
-
-class KernelTuple:
-    """One line differential h dx per level, each killed by the Cartier operator.
-
-    Component i must also respect the level degree cap reg_bound[i]; these
-    two conditions carve out the domain of the obstruction map.
-    """
-
-    __slots__ = ("curve", "nu")
-
-    def __init__(self, curve: BasicCurve, nu):
-        nu = tuple(nu)
-        if len(nu) != curve.p:
-            raise ValueError(f"expected {curve.p} components, got {len(nu)}")
-        for i, w in enumerate(nu):
-            if w.p != curve.p:
-                raise ValueError("component modulus mismatch")
-            if not cartier(w).is_zero:
-                raise ValueError(f"component {i} is not in the Cartier kernel")
-            if w.degree > curve.reg_bound[i]:
-                raise ValueError(f"component {i} exceeds degree cap {curve.reg_bound[i]}")
-        self.curve = curve
-        self.nu = nu
-
-    @classmethod
-    def unit(cls, curve: BasicCurve, level: int, exponent: int) -> "KernelTuple":
-        """The basis tuple with x^exponent dx at the given level, 0 elsewhere."""
-        nu = [FpPoly.zero(curve.p)] * curve.p
-        nu[level] = FpPoly.monomial(curve.p, exponent)
-        return cls(curve, nu)
-
-    @classmethod
-    def from_coefficients(cls, curve: BasicCurve, vec) -> "KernelTuple":
-        """Build a tuple from coordinates in domain_basis order."""
-        basis = domain_basis(curve)
-        if len(vec) != len(basis):
-            raise ValueError("coordinate vector has wrong length")
-        polys = [dict() for _ in range(curve.p)]
-        for (i, j), c in zip(basis, vec):
-            polys[i][j] = c
-        nu = []
-        for i in range(curve.p):
-            coeffs = [0] * (curve.reg_bound[i] + 1 if polys[i] else 0)
-            for j, c in polys[i].items():
-                coeffs[j] = c
-            nu.append(FpPoly(curve.p, coeffs))
-        return cls(curve, nu)
-
-    def __add__(self, other):
-        if not isinstance(other, KernelTuple) or other.curve is not self.curve:
-            return NotImplemented
-        return KernelTuple(self.curve, [a + b for a, b in zip(self.nu, other.nu)])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, KernelTuple)
-            and self.curve == other.curve
-            and self.nu == other.nu
-        )
-
-
-class CoverDifferential:
-    """A differential on the cover: omega[i] is the h of its h y^i dx component."""
-
-    __slots__ = ("curve", "omega")
-
-    def __init__(self, curve: BasicCurve, omega):
-        omega = tuple(omega)
-        if len(omega) != curve.p:
-            raise ValueError(f"expected {curve.p} components, got {len(omega)}")
-        self.curve = curve
-        self.omega = omega
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CoverDifferential)
-            and self.curve == other.curve
-            and self.omega == other.omega
-        )
-
-    def __str__(self):
-        parts = []
-        for i in range(self.curve.p - 1, -1, -1):
-            h = self.omega[i]
-            if h.is_zero:
-                continue
-            y = "" if i == 0 else (" y" if i == 1 else f" y^{i}")
-            parts.append(f"({h}){y} dx")
-        return " + ".join(parts) if parts else "0"
 
 
 def _neg_f_power_stack(p: int, coeffs) -> list[np.ndarray]:
@@ -170,61 +78,12 @@ def _neg_f_power_stack(p: int, coeffs) -> list[np.ndarray]:
     return powers
 
 
-def reconstruct(curve: BasicCurve, v: KernelTuple) -> CoverDifferential:
-    """The differential on the cover determined by a kernel tuple.
-
-    Working down from the top level, each component picks up the projection
-    (onto exponents = -1 mod p) of minus the binomial-weighted combination of
-    the higher components multiplied by powers of -f.
-    """
-    p = curve.p
-    neg = -curve.f
-    negf = [FpPoly.one(p)]
-    for _ in range(1, p):
-        negf.append(negf[-1] * neg)
-    omega: list = [None] * p
-    omega[p - 1] = v.nu[p - 1]
-    for t in range(p - 2, -1, -1):
-        acc = FpPoly.zero(p)
-        for src in range(t + 1, p):
-            h = omega[src]
-            if h.is_zero:
-                continue
-            scale = math.comb(src, t) % p
-            if scale == 0:
-                continue
-            acc = acc + h * negf[src - t] * scale
-        omega[t] = v.nu[t] + section_after_cartier(-acc)
-    return CoverDifferential(curve, omega)
-
-
-def is_regular(curve: BasicCurve, w: CoverDifferential) -> bool:
-    """True when every component respects its level degree cap."""
-    return all(w.omega[i].degree <= curve.reg_bound[i] for i in range(curve.p))
-
-
-def obstruction_vector(curve: BasicCurve, v: KernelTuple) -> tuple[int, ...]:
-    """Coefficients of the reconstructed differential at the obstruction slots.
-
-    Level-major, slot exponent ascending; the zero vector exactly when the
-    reconstruction is regular.
-    """
-    w = reconstruct(curve, v)
-    out = []
-    for i in range(curve.p):
-        s = curve.slot_start[i]
-        h = w.omega[i]
-        out.extend(h.coeff(s + u * curve.p) for u in range(curve.slot_count[i]))
-    return tuple(out)
-
-
 def obstruction_matrix(curve: BasicCurve) -> FpMatrix:
     """Matrix of the obstruction map over the kernel-tuple basis.
 
     Columns follow domain_basis order; rows are obstruction slots,
     level-major then exponent ascending.  Built as a stack of one by
-    obstruction_stack; columnwise agreement with obstruction_vector is
-    covered by tests.
+    obstruction_stack.
     """
     return FpMatrix(curve.p, obstruction_stack(curve, [curve.f.coeffs])[0])
 

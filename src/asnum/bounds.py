@@ -56,17 +56,26 @@ def threshold(p: int, d: int, i: int, j: int) -> Fraction:
     return Fraction(i * d * p - d * j * (p - 1), p)
 
 
-def block_count(p: int, d: int, i: int, j: int) -> int:
-    """Number of multiples of p in the window (threshold(p,d,i,j), i*d]."""
-    _check_pair(p, d, i, j)
+def _block_count(p: int, d: int, i: int, j: int) -> int:
     # floor(threshold/p) on integers: threshold*p = i*d*p - d*j*(p-1)
     return i * d // p - (i * d * p - d * j * (p - 1)) // (p * p)
 
 
+def block_count(p: int, d: int, i: int, j: int) -> int:
+    """Number of multiples of p in the window (threshold(p,d,i,j), i*d]."""
+    _check_pair(p, d, i, j)
+    return _block_count(p, d, i, j)
+
+
 def level_sum(p: int, d: int, j: int) -> int:
-    """Sum of block_count(p, d, i, j) over i = j .. p-1."""
+    """Sum of block_count(p, d, i, j) over i = j .. p-1, validated once.
+
+    A valid (p, d, j) makes every (p, d, i, j) with j <= i <= p-1 valid, so
+    the summands skip the check and its primality test by trial division,
+    which would cost far more than the sum at large p.
+    """
     _check_pair(p, d, j, j)
-    return sum(block_count(p, d, i, j) for i in range(j, p))
+    return sum(_block_count(p, d, i, j) for i in range(j, p))
 
 
 def lower_bound_single(p: int, d: int) -> int:

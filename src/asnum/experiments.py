@@ -124,9 +124,10 @@ def sample_poly(p: int, d: int, rng: np.random.Generator) -> FpPoly:
 class Distribution:
     """Tally of a-numbers over sampled degree-d covers.
 
-    There is at least one sample, every count is nonnegative and they sum to
-    n_samples, and every observed a-number lies in [L(d), genus]; all of
-    this is enforced, also on tallies parsed back from files.
+    (p, d, n_samples, seed) passes the check of a survey request, elapsed
+    is nonnegative, every count is nonnegative and they sum to n_samples,
+    and every observed a-number lies in [L(d), genus]; all of this is
+    enforced, also on tallies parsed back from files.
     """
 
     p: int
@@ -137,8 +138,9 @@ class Distribution:
     elapsed: float
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
+        _check_request(self.p, self.d, self.n_samples, self.seed)
+        if self.elapsed < 0:
+            raise ValueError("elapsed time is negative")
         if any(c < 0 for c in self.counts.values()):
             raise ValueError("tally contains a negative count")
         if sum(self.counts.values()) != self.n_samples:

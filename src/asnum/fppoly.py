@@ -1,13 +1,12 @@
-"""Dense polynomials over F_p and the Cartier operator on the line.
+"""Dense polynomials over F_p, their text grammar, and normalization of f.
 
 Coefficients are stored by exponent and kept trimmed, so the last entry is
 nonzero whenever the polynomial is nonzero; the zero polynomial has an empty
 coefficient tuple and degree -inf.  Arithmetic is on Python ints, so every
-product is exact for any p.  A differential h(x) dx on the line is
-represented by its polynomial h alone: the Cartier operator and the
-projection below take and return h.  The base field is always the prime
-field, so the p-th power map on coefficients is the identity and the
-semilinear twist of the Cartier operator disappears.
+product is exact for any p.  The package holds a differential h(x) dx on
+the line as its polynomial h; there is no differential class.  The base
+field is always the prime field, so c*x^(p*i) is the p-th power of c*x^i
+and normalization folds it down.
 """
 
 import re
@@ -181,30 +180,6 @@ def parse_poly(text: str, p: int) -> FpPoly:
     out = [0] * (max(coeffs) + 1)
     for e, c in coeffs.items():
         out[e] = c
-    return FpPoly(p, out)
-
-
-def cartier(h: FpPoly) -> FpPoly:
-    """Cartier operator on the line, acting on the h of a differential h dx.
-
-    A term x^j dx survives exactly when j = -1 (mod p), and is sent to
-    x^((j+1)/p - 1) dx; all other terms die.  Over the prime field the
-    coefficientwise p-th root is the identity.
-    """
-    return FpPoly(h.p, h.coeffs[h.p - 1 :: h.p])
-
-
-def section_after_cartier(h: FpPoly) -> FpPoly:
-    """Keep exactly the terms x^j dx with j = -1 (mod p).
-
-    This is the Cartier operator followed by its right inverse
-    x^j dx -> x^(p(j+1)-1) dx: it projects h dx onto the complement of the
-    Cartier kernel, keeping its Cartier image.
-    """
-    p = h.p
-    out = [0] * len(h.coeffs)
-    for j in range(p - 1, len(out), p):
-        out[j] = h.coeffs[j]
     return FpPoly(p, out)
 
 

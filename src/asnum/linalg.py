@@ -1,8 +1,7 @@
 """Exact dense linear algebra over F_p, backed by numpy int64 arrays.
 
-One forward Gaussian elimination with first-nonzero pivoting serves both
-the rank (its pivot count) and the kernel (back-substitution on its
-row-echelon form).  The matrices in this package stay at most a few thousand
+One forward Gaussian elimination with first-nonzero pivoting gives the rank
+as its pivot count.  The matrices in this package stay at most a few thousand
 square, so exactness and simplicity win over asymptotics.  All mod-p
 reductions are on integers, never floats.
 
@@ -21,8 +20,7 @@ scanned, and _echelon ranks the core that is left.
 stack_ranks is a second, independent elimination for the survey engine: it
 ranks a whole stack of small matrices at once, so numpy's per-call cost is
 paid per column of the stack instead of per column of every matrix.  On a
-single matrix it is slower than _echelon, so rank_nullity and kernel_basis
-keep _echelon.
+single matrix it is slower than _echelon, so rank_nullity keeps _echelon.
 """
 
 import numpy as np
@@ -114,8 +112,8 @@ def _peel(a: np.ndarray) -> tuple[int, np.ndarray]:
     return peeled, a[np.ix_(live_rows, live_cols)]
 
 
-def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Row-echelon form of a copy of ``a`` (pivots scaled to 1) and its pivot columns.
+def _echelon(a: np.ndarray, p: int) -> int:
+    """Rank of ``a`` mod p: the pivot count of a forward elimination on a copy.
 
     Forward elimination only: clearing above the pivots as well would cost
     the rank a full reduction it does not need.  The caller checks int64
@@ -123,9 +121,8 @@ def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """
     a = a.copy()
     rows, cols = a.shape
-    pivots: list[int] = []
+    r = 0
     for c in range(cols):
-        r = len(pivots)
         if r == rows:
             break
         nz = np.flatnonzero(a[r:, c])
@@ -140,8 +137,8 @@ def _echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         if below.size:
             sel = r + 1 + below
             a[sel, c:] = (a[sel, c:] - np.outer(a[sel, c], a[r, c:])) % p
-        pivots.append(c)
-    return a, pivots
+        r += 1
+    return r
 
 
 def stack_ranks(a: np.ndarray, p: int) -> np.ndarray:
@@ -194,25 +191,5 @@ def rank_nullity(m: FpMatrix) -> tuple[int, int]:
     """
     _check_headroom(m.p)
     peeled, core = _peel(m.a)
-    rank = peeled + len(_echelon(core, m.p)[1])
+    rank = peeled + _echelon(core, m.p)
     return rank, m.cols - rank
-
-
-def kernel_basis(m: FpMatrix) -> list[np.ndarray]:
-    """A basis of the right kernel, one int64 vector per free column.
-
-    The vector for free column f has a 1 at f, 0 at the other free columns,
-    and its pivot entries solved by back-substitution, pivot rows bottom-up;
-    the sums are taken in Python ints, so they cannot overflow.
-    """
-    _check_headroom(m.p)
-    ech, pivots = _echelon(m.a, m.p)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    v = np.zeros((m.cols, len(free)), dtype=object)
-    v[free, range(len(free))] = 1
-    ech = ech.astype(object)
-    for row in reversed(range(len(pivots))):
-        pc = pivots[row]
-        v[pc] = -(ech[row, pc + 1 :] @ v[pc + 1 :]) % m.p
-    return [v[:, k].astype(np.int64) for k in range(len(free))]

@@ -1,0 +1,128 @@
+"""Column reference for the fast obstruction build: one kernel tuple lifted at a time.
+
+A line differential h dx is held as its polynomial h.  A kernel tuple is a
+tuple of FpPoly, one per level i, each killed by the Cartier operator and of
+degree at most reg_bound[i]; a differential on the cover is the tuple of the
+h in its components h y^i dx.  reconstruct builds its own powers (-f)^e with
+exact FpPoly products, so it shares no arithmetic with the int64 table of
+asnum.anumber, and kernel_vectors eliminates in Python ints, sharing no code
+with asnum.linalg.
+"""
+
+import math
+
+from asnum.curve import domain_basis
+from asnum.fppoly import FpPoly
+
+
+def cartier(h: FpPoly) -> FpPoly:
+    """Cartier operator on the line, acting on the h of a differential h dx.
+
+    A term x^j dx survives exactly when j = -1 (mod p), and is sent to
+    x^((j+1)/p - 1) dx; all other terms die.  Over the prime field the
+    coefficientwise p-th root is the identity.
+    """
+    return FpPoly(h.p, h.coeffs[h.p - 1 :: h.p])
+
+
+def section(h: FpPoly) -> FpPoly:
+    """Keep exactly the terms x^j dx with j = -1 (mod p).
+
+    This is the Cartier operator followed by its right inverse
+    x^j dx -> x^(p(j+1)-1) dx: it projects h dx onto the complement of the
+    Cartier kernel, keeping its Cartier image.
+    """
+    p = h.p
+    out = [0] * len(h.coeffs)
+    out[p - 1 :: p] = h.coeffs[p - 1 :: p]
+    return FpPoly(p, out)
+
+
+def unit(curve, level: int, j: int) -> tuple:
+    """The basis kernel tuple with x^j dx at the given level, 0 elsewhere."""
+    nu = [FpPoly.zero(curve.p)] * curve.p
+    nu[level] = FpPoly.monomial(curve.p, j)
+    return tuple(nu)
+
+
+def from_coords(curve, vec) -> tuple:
+    """The kernel tuple with coordinates vec in domain_basis order."""
+    basis = domain_basis(curve)
+    assert len(vec) == len(basis), "coordinate vector has the wrong length"
+    coeffs = [[0] * max(b + 1, 0) for b in curve.reg_bound]
+    for (i, j), c in zip(basis, vec):
+        coeffs[i][j] = int(c)
+    return tuple(FpPoly(curve.p, cs) for cs in coeffs)
+
+
+def reconstruct(curve, nu) -> tuple:
+    """The differential on the cover that lifts the kernel tuple nu.
+
+    Working down from the top level, each component picks up the projection
+    (onto exponents = -1 mod p) of minus the binomial-weighted combination of
+    the higher components multiplied by powers of -f.
+    """
+    p = curve.p
+    negf = [FpPoly.one(p)]
+    for _ in range(1, p):
+        negf.append(negf[-1] * -curve.f)
+    omega = [None] * p
+    omega[p - 1] = nu[p - 1]
+    for t in range(p - 2, -1, -1):
+        acc = FpPoly.zero(p)
+        for src in range(t + 1, p):
+            if not omega[src].is_zero:
+                acc = acc + omega[src] * (math.comb(src, t) % p) * negf[src - t]
+        omega[t] = nu[t] + section(-acc)
+    return tuple(omega)
+
+
+def is_regular(curve, omega) -> bool:
+    """True when every component respects its level degree cap."""
+    return all(h.degree <= b for h, b in zip(omega, curve.reg_bound))
+
+
+def obstruction_vector(curve, nu) -> tuple[int, ...]:
+    """Coefficients of reconstruct(curve, nu) at the obstruction slots.
+
+    Level-major, slot exponent ascending; the zero vector exactly when the
+    reconstruction is regular.
+    """
+    out = []
+    for i, h in enumerate(reconstruct(curve, nu)):
+        s = curve.slot_start[i]
+        out.extend(h.coeff(s + u * curve.p) for u in range(curve.slot_count[i]))
+    return tuple(out)
+
+
+def kernel_vectors(a, p: int) -> list[list[int]]:
+    """A basis of the right kernel of the 2-D array a mod p, one list per free column.
+
+    Gauss-Jordan elimination in Python ints.  The vector for free column f
+    has a 1 at f, 0 at the other free columns, and minus column f of the
+    reduced form at the pivot columns.
+    """
+    rows, cols = a.shape
+    m = [[int(x) % p for x in row] for row in a.tolist()]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        piv = next((k for k in range(r, rows) if m[k][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for k in range(rows):
+            if k != r and m[k][c]:
+                s = m[k][c]
+                m[k] = [(x - s * y) % p for x, y in zip(m[k], m[r])]
+        pivots.append(c)
+    out = []
+    for f in sorted(set(range(cols)) - set(pivots)):
+        v = [0] * cols
+        v[f] = 1
+        for r, c in enumerate(pivots):
+            v[c] = -m[r][f] % p
+        out.append(v)
+    return out

@@ -13,28 +13,33 @@ from hypothesis import strategies as st
 import asnum.anumber
 from asnum.anumber import (
     ANumberReport,
-    CoverDifferential,
     InvariantViolation,
-    KernelTuple,
     _certified_p_rank,
     _neg_f_power_stack,
     a_number_fast,
     a_number_oracle,
     cartier_matrix,
-    is_regular,
     obstruction_matrix,
-    obstruction_vector,
     p_rank,
-    reconstruct,
     report,
 )
 from asnum.bounds import lower_bound_single
 from asnum.curve import BasicCurve, domain_basis
 from asnum.families import minimal_family
-from asnum.fppoly import FpPoly, cartier, parse_poly, section_after_cartier
+from asnum.fppoly import FpPoly, parse_poly
 from asnum.linalg import FpMatrix, rank_nullity
 from asnum.experiments import sample_poly
 from asnum.numutil import HeadroomError
+from reference import (
+    cartier,
+    from_coords,
+    is_regular,
+    kernel_vectors,
+    obstruction_vector,
+    reconstruct,
+    section,
+    unit,
+)
 
 
 def make(p, text):
@@ -46,8 +51,7 @@ def random_curve(p, d, rng):
 
 
 def random_kernel_tuple(curve, rng):
-    vec = [int(v) for v in rng.integers(0, curve.p, size=curve.dim_domain)]
-    return KernelTuple.from_coefficients(curve, vec)
+    return from_coords(curve, rng.integers(0, curve.p, size=curve.dim_domain))
 
 
 class TestWorkedExampleD11:
@@ -55,19 +59,19 @@ class TestWorkedExampleD11:
         self.curve = make(5, "x^11")
 
     def test_gamma_of_unit_1_3(self):
-        w = reconstruct(self.curve, KernelTuple.unit(self.curve, 1, 3))
-        assert w.omega[1] == FpPoly.monomial(5, 3)
-        assert w.omega[0] == FpPoly.monomial(5, 14)
-        assert w.omega[2].is_zero and w.omega[3].is_zero and w.omega[4].is_zero
+        w = reconstruct(self.curve, unit(self.curve, 1, 3))
+        assert w[1] == FpPoly.monomial(5, 3)
+        assert w[0] == FpPoly.monomial(5, 14)
+        assert w[2].is_zero and w[3].is_zero and w[4].is_zero
         assert not is_regular(self.curve, w)
 
     def test_regular_exactly_for_j_in_0_1_2_5(self):
         for j in (0, 1, 2, 3, 5):
-            w = reconstruct(self.curve, KernelTuple.unit(self.curve, 1, j))
+            w = reconstruct(self.curve, unit(self.curve, 1, j))
             assert is_regular(self.curve, w) == (j in (0, 1, 2, 5)), j
 
     def test_obstruction_vector_of_unit_1_3(self):
-        vec = obstruction_vector(self.curve, KernelTuple.unit(self.curve, 1, 3))
+        vec = obstruction_vector(self.curve, unit(self.curve, 1, 3))
         # the x^14 term sits in the second level-0 slot (slots start at 9)
         expected = [0] * self.curve.dim_obstruction
         expected[1] = 1
@@ -79,9 +83,17 @@ class TestReconstruct:
         for p, text in ((3, "x^4+x^2"), (5, "x^11"), (7, "x^5+2*x^3")):
             c = make(p, text)
             for j in (0, 1):
-                w = reconstruct(c, KernelTuple.unit(c, 0, j))
-                assert w.omega[0] == FpPoly.monomial(p, j)
-                assert all(w.omega[i].is_zero for i in range(1, p))
+                w = reconstruct(c, unit(c, 0, j))
+                assert w[0] == FpPoly.monomial(p, j)
+                assert all(w[i].is_zero for i in range(1, p))
+
+    def test_from_coords_places_each_unit(self):
+        c = make(5, "x^11")
+        basis = domain_basis(c)
+        for k, (i, j) in enumerate(basis):
+            coords = [0] * len(basis)
+            coords[k] = 2
+            assert from_coords(c, coords) == tuple(h * 2 for h in unit(c, i, j))
 
     def test_p3_closed_recursion(self):
         # for p = 3 the recursion collapses to one projection:
@@ -91,10 +103,10 @@ class TestReconstruct:
             c = random_curve(3, 8, rng)
             v = random_kernel_tuple(c, rng)
             w = reconstruct(c, v)
-            h0, h1 = v.nu[:2]
-            assert w.omega[1] == h1
-            assert w.omega[0] == h0 + section_after_cartier(h1 * c.f)
-            assert w.omega[2].is_zero
+            h0, h1 = v[:2]
+            assert w[1] == h1
+            assert w[0] == h0 + section(h1 * c.f)
+            assert w[2].is_zero
 
     def test_linearity(self):
         rng = np.random.default_rng(17)
@@ -103,11 +115,11 @@ class TestReconstruct:
             for _ in range(5):
                 u = random_kernel_tuple(c, rng)
                 v = random_kernel_tuple(c, rng)
-                lhs = reconstruct(c, u + v)
+                lhs = reconstruct(c, tuple(a + b for a, b in zip(u, v)))
                 rhs_u = reconstruct(c, u)
                 rhs_v = reconstruct(c, v)
                 for i in range(p):
-                    assert lhs.omega[i] == rhs_u.omega[i] + rhs_v.omega[i]
+                    assert lhs[i] == rhs_u[i] + rhs_v[i]
 
     def test_components_respect_comp_bound_and_slot_structure(self):
         rng = np.random.default_rng(23)
@@ -116,7 +128,7 @@ class TestReconstruct:
             for _ in range(10):
                 w = reconstruct(c, random_kernel_tuple(c, rng))
                 for i in range(p):
-                    h = w.omega[i]
+                    h = w[i]
                     assert h.degree <= c.comp_bound[i]
                     # above reg_bound only slot exponents may carry coefficients
                     for e in range(max(c.reg_bound[i] + 1, 0), len(h.coeffs)):
@@ -136,17 +148,37 @@ class TestObstructionMap:
                 assert is_regular(c, w) == (not any(vec))
 
     def test_obstruction_kernel_gives_regular_differentials(self):
-        from asnum.linalg import kernel_basis
-
         rng = np.random.default_rng(53)
         for p, d in ((3, 10), (5, 8)):
             c = random_curve(p, d, rng)
-            vectors = kernel_basis(obstruction_matrix(c))
+            vectors = kernel_vectors(obstruction_matrix(c).a, p)
             assert vectors  # the a-number is at least the positive lower bound here
             for coords in vectors:
-                v = KernelTuple.from_coefficients(c, [int(x) for x in coords])
+                v = from_coords(c, coords)
                 assert is_regular(c, reconstruct(c, v))
                 assert not any(obstruction_vector(c, v))
+
+    def test_obstruction_kernel_is_killed_by_the_cover_cartier(self):
+        # each kernel vector lifts to a regular differential; written in the
+        # regular basis x^j y^i dx, the lifts must be independent and lie in
+        # the kernel of the oracle's Cartier matrix, so the fast kernel is
+        # the Cartier kernel itself, not only a space of the right dimension
+        rng = np.random.default_rng(67)
+        points = [(3, 8), (3, 17), (5, 7), (5, 11), (5, 13), (7, 9), (7, 12), (11, 5), (13, 4)]
+        for p, d in points:
+            for _ in range(3):
+                c = random_curve(p, d, rng)
+                rows = []
+                for coords in kernel_vectors(obstruction_matrix(c).a, p):
+                    w = reconstruct(c, from_coords(c, coords))
+                    row = []
+                    for h, b in zip(w, c.reg_bound):
+                        assert h.degree <= b, (p, str(c.f), coords)
+                        row += h.coeffs + (0,) * (b + 1 - len(h.coeffs))
+                    rows.append(row)
+                v = np.array(rows, dtype=np.int64).reshape(len(rows), c.genus)
+                assert not kernel_vectors(v.T, p), (p, str(c.f))
+                assert not (cartier_matrix(c).a @ v.T % p).any(), (p, str(c.f))
 
     def test_matrix_columns_match_vectors(self):
         # p = 2 has only the top source level; the larger primes reach many
@@ -159,7 +191,7 @@ class TestObstructionMap:
             m = obstruction_matrix(c).a
             assert m.shape == (c.dim_obstruction, c.dim_domain)
             for k, (i, j) in enumerate(domain_basis(c)):
-                vec = obstruction_vector(c, KernelTuple.unit(c, i, j))
+                vec = obstruction_vector(c, unit(c, i, j))
                 assert tuple(int(x) for x in m[:, k]) == vec, (c.p, c.f, i, j)
         # at (67, 14) one reference column takes about 0.1 s and there are 429;
         # the map is linear, so random tuples check every column at once
@@ -167,7 +199,7 @@ class TestObstructionMap:
         m = obstruction_matrix(c).a
         for _ in range(3):
             coords = rng.integers(0, c.p, size=c.dim_domain)
-            v = KernelTuple.from_coefficients(c, [int(x) for x in coords])
+            v = from_coords(c, coords)
             assert tuple(int(x) for x in m @ coords % c.p) == obstruction_vector(c, v)
 
     @pytest.mark.parametrize(
@@ -486,34 +518,3 @@ class TestReport:
     def test_report_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             report(make(3, "x^2"), method="guess")
-
-
-class TestKernelTupleValidation:
-    def test_rejects_non_kernel_component(self):
-        c = make(5, "x^11")
-        bad = [FpPoly.zero(5)] * 5
-        bad[0] = FpPoly.monomial(5, 4)  # x^4 dx survives the Cartier operator
-        with pytest.raises(ValueError):
-            KernelTuple(c, bad)
-
-    def test_rejects_overweight_component(self):
-        c = make(5, "x^11")
-        bad = [FpPoly.zero(5)] * 5
-        bad[1] = FpPoly.monomial(5, 6)  # reg_bound[1] = 5
-        with pytest.raises(ValueError):
-            KernelTuple(c, bad)
-
-    def test_unit_round_trip(self):
-        c = make(5, "x^11")
-        basis = domain_basis(c)
-        coords = [0] * len(basis)
-        coords[3] = 2
-        v = KernelTuple.from_coefficients(c, coords)
-        i, j = basis[3]
-        assert v.nu[i] == FpPoly.monomial(5, j, 2)
-
-
-def test_cover_differential_str():
-    c = make(5, "x^11")
-    w = reconstruct(c, KernelTuple.unit(c, 1, 3))
-    assert str(w) == "(x^3) y dx + (x^14) dx"

@@ -1,0 +1,42 @@
+"""The public API: what the benchmark imports, and what left it."""
+
+import ast
+from pathlib import Path
+
+import asnum
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def test_benchmark_imports_are_public():
+    # perfbench times the package through these names; an API cleanup that
+    # drops one must break here, not only in the benchmark
+    tree = ast.parse(WORKLOADS.read_text())
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "asnum" and node.level == 0
+        for alias in node.names
+    ]
+    assert names
+    assert sorted(set(names) - set(asnum.__all__)) == []
+
+
+def test_public_names_resolve_and_the_test_reference_is_not_public():
+    # the kernel-tuple lift and its line operators serve only the tests
+    # (tests/reference.py), so the package does not carry them
+    assert len(asnum.__all__) == len(set(asnum.__all__))
+    assert all(hasattr(asnum, name) for name in asnum.__all__)
+    gone = [
+        "anumber.KernelTuple",
+        "anumber.CoverDifferential",
+        "anumber.reconstruct",
+        "anumber.is_regular",
+        "anumber.obstruction_vector",
+        "linalg.kernel_basis",
+        "fppoly.cartier",
+        "fppoly.section_after_cartier",
+    ]
+    for path in gone:
+        module, name = path.split(".")
+        assert name not in asnum.__all__ and not hasattr(getattr(asnum, module), name), path

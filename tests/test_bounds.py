@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import asnum.bounds
 from asnum.bounds import (
     RamificationData,
     block_count,
@@ -15,7 +16,7 @@ from asnum.bounds import (
     lower_bound_single,
     threshold,
 )
-from asnum.numutil import ceil_div
+from asnum.numutil import ceil_div, is_prime
 
 SMALL_PD = [(p, d) for p in (2, 3, 5, 7) for d in range(1, 41) if d % p != 0]
 
@@ -67,6 +68,17 @@ def test_level_sum_values():
     assert level_sum(5, 11, 2) == 10
     assert level_sum(5, 11, 3) == 10
     assert level_sum(5, 1, 2) == 0
+
+
+def test_level_sum_checks_its_arguments_once(monkeypatch):
+    # the summands skip the check: run per summand, its primality test made
+    # lower_bound_single(1000003, 2) take half a minute
+    calls = []
+    monkeypatch.setattr(asnum.bounds, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    assert lower_bound_single(1000003, 2) == 500001
+    assert calls == [1000003]
+    with pytest.raises(ValueError, match="not prime"):
+        level_sum(1000001, 2, 3)
 
 
 def test_lower_bound_table_captions():

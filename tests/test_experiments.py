@@ -236,6 +236,25 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             Distribution.from_csv(text)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("seed", -4, "seed must be nonnegative"),
+            ("elapsed_ms", -9, "elapsed time is negative"),
+        ],
+    )
+    def test_impossible_request_is_refused(self, key, value, message):
+        # no survey has a negative seed or elapsed time; the constructor runs
+        # the request check and the time check, so both readers refuse them
+        dist = distribution(3, 7, 25, seed=2)
+        doc = json.loads(dist.to_json())
+        with pytest.raises(ValueError, match=message):
+            Distribution.from_json(json.dumps({**doc, key: value}))
+        text = dist.to_csv().replace(f"# {key}={doc[key]}\n", f"# {key}={value}\n")
+        assert f"# {key}={value}\n" in text
+        with pytest.raises(ValueError, match=message):
+            Distribution.from_csv(text)
+
     def test_json_schema_fields(self):
         doc = json.loads(distribution(3, 4, 5, seed=1).to_json())
         assert set(doc) == {
