@@ -21,6 +21,13 @@ int64 sums are checked for headroom before anything is built.  The tests
 check every column of the obstruction matrix against a lift of one tuple at
 a time in exact FpPoly arithmetic, which builds its own powers.
 
+obstruction_coords makes the same sweep in coordinate form for f with few
+terms: it follows only the nonzero terms of (-f)^e, from a power table of
+its own, and emits (row, col, value) triples, so its cost follows the
+nonzeros instead of the matrix size.  The family check ranks its members
+this way (linalg.coords_rank_nullity).  Dense f keeps the dense build, which
+is faster there; the tests check that both builds give the same matrix.
+
 The p-rank is 0.  The oracle certifies it on the matrix it builds: in the
 level-major basis the Cartier operator sends x^j y^i dx either to a lower
 level or, on level i, to exponent (j+1)/p - 1 < j, so its matrix is strictly
@@ -78,6 +85,16 @@ def _neg_f_power_stack(p: int, coeffs) -> list[np.ndarray]:
     return powers
 
 
+def _compressed_rows(curve: BasicCurve) -> list[int]:
+    """Compressed rows per level (row u is exponent p*u + p - 1), once the
+    obstruction builds' int64 sums are checked for headroom."""
+    p = curve.p
+    rows = [max((c - (p - 1)) // p + 1, 0) for c in curve.comp_bound]
+    # per entry, each source adds at most rows[t] <= rows[0] products below p^2
+    check_int64_sum((p - 1) * rows[0], (p - 1) ** 2, "obstruction build")
+    return rows
+
+
 def obstruction_matrix(curve: BasicCurve) -> FpMatrix:
     """Matrix of the obstruction map over the kernel-tuple basis.
 
@@ -107,9 +124,7 @@ def obstruction_stack(curve: BasicCurve, coeffs) -> np.ndarray:
     level t are then a slice of its compressed block.
     """
     p = curve.p
-    rows = [max((c - (p - 1)) // p + 1, 0) for c in curve.comp_bound]
-    # per entry, each source adds at most rows[t] <= rows[0] products below p^2
-    check_int64_sum((p - 1) * rows[0], (p - 1) ** 2, "obstruction build")
+    rows = _compressed_rows(curve)
     negf = _neg_f_power_stack(p, coeffs)
     n = negf[0].shape[0]
     exps = [np.array(level_exponents(curve, i), dtype=np.int64) for i in range(p)]
@@ -140,6 +155,104 @@ def obstruction_stack(curve: BasicCurve, coeffs) -> np.ndarray:
             u = (curve.slot_start[t] - (p - 1)) // p
             mat[:, row[t] : row[t + 1], base:] = comp[t][:, u : u + curve.slot_count[t]]
     return mat
+
+
+def _merge(keys: np.ndarray, values: np.ndarray, p: int, sign: int = 1):
+    """The distinct keys, ascending, with sign * (sum of their values) mod p;
+    keys whose sum vanishes are dropped.  The sums stay in int64."""
+    order = np.argsort(keys)
+    keys, values = keys[order], values[order]
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    if keys.size:
+        keys, values = keys[first], np.add.reduceat(values, np.flatnonzero(first))
+    values = sign * values % p
+    nz = values != 0
+    return keys[nz], values[nz]
+
+
+def _neg_f_power_terms(p: int, coeffs) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(exponents, values) of the nonzero terms of (-f)^e for e = 0 .. p-1.
+
+    Each power is the previous one times -f, multiplied term by term: an
+    entry sums at most one product below p^2 per nonzero term of f, checked
+    before anything is built.
+    """
+    terms = [(e, -c % p) for e, c in enumerate(coeffs) if c % p]
+    check_int64_sum(len(terms), (p - 1) ** 2, "(-f)^e table")
+    exps, vals = np.array(terms, dtype=np.int64).reshape(-1, 2).T
+    powers = [(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))]
+    for _ in range(1, p):
+        e, v = powers[-1]
+        powers.append(
+            _merge((e[:, None] + exps).ravel(), (v[:, None] * vals).ravel(), p)
+        )
+    return powers
+
+
+def obstruction_coords(curve: BasicCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The obstruction matrix as (rows, cols, values) int64 coordinates.
+
+    Densified into a (dim_obstruction, dim_domain) array, the coordinates
+    give obstruction_matrix(curve); each appears once, with a nonzero
+    residue.  The sweep is obstruction_stack's, t = p-2 .. 0, on coordinate
+    lists that follow only the nonzero terms x^e of comb(src, t) *
+    (-f)^(src-t): a unit monomial x^j of a column topped at src lands at
+    compressed row (j + e + 1)/p - 1 when j + e = -1 (mod p), and a
+    compressed component of a higher column moves down e/p rows when p
+    divides e.  Work and memory follow the nonzeros, not the matrix size, so
+    this suits f with few terms, such as the family members; for dense f the
+    dense build is faster.
+    """
+    p = curve.p
+    _compressed_rows(curve)  # the headroom check, before anything is built
+    negf = _neg_f_power_terms(p, curve.f.coeffs)
+    ncols = curve.dim_domain
+    # level i offers the exponents 0 .. reg_bound[i] but those = -1 (mod p),
+    # and x^j is its column j - (j + 1) // p
+    sizes = [max(b + 1 - (b + 1) // p, 0) for b in curve.reg_bound]
+    col = list(accumulate(sizes, initial=0))
+    row = list(accumulate(curve.slot_count, initial=0))
+    empty = np.zeros(0, dtype=np.int64)
+    # comp[t]: compressed level-t components of the columns col[t+1]: onwards,
+    # as ascending keys u * ncols + column and their values
+    comp = [(empty, empty)] * p
+    out = [[empty], [empty], [empty]]
+    for t in range(p - 2, -1, -1):
+        key_parts, val_parts = [empty], [empty]
+        for src in range(t + 1, p):
+            exps, vals = negf[src - t]
+            g = math.comb(src, t) % p * vals % p
+            if sizes[src]:
+                # per term, the exponents j = r, r + p, ... <= reg_bound[src]
+                # with j + e = -1 (mod p); none when r = p - 1
+                r = (-1 - exps) % p
+                count = (curve.reg_bound[src] - r) // p + 1
+                count = np.where(r < p - 1, np.maximum(count, 0), 0)
+                term = np.repeat(np.arange(exps.size), count)
+                j = r[term] + p * (
+                    np.arange(term.size) - np.repeat(np.cumsum(count) - count, count)
+                )
+                u = (j + exps[term] + 1) // p - 1
+                key_parts.append(u * ncols + col[src] + j - (j + 1) // p)
+                val_parts.append(g[term])
+            w_keys, w_vals = comp[src]
+            shift = exps % p == 0
+            if w_keys.size and shift.any():
+                key_parts.append((w_keys + (exps[shift] // p * ncols)[:, None]).ravel())
+                val_parts.append((g[shift][:, None] * w_vals).ravel())
+        keys, vals = comp[t] = _merge(
+            np.concatenate(key_parts), np.concatenate(val_parts), p, sign=-1
+        )
+        if curve.slot_count[t]:
+            # the obstruction rows of level t are a run of the sorted keys
+            u0 = (curve.slot_start[t] - (p - 1)) // p
+            lo, hi = np.searchsorted(keys, [u0 * ncols, (u0 + curve.slot_count[t]) * ncols])
+            u, c = np.divmod(keys[lo:hi], ncols)
+            out[0].append(u - u0 + row[t])
+            out[1].append(c)
+            out[2].append(vals[lo:hi])
+    return tuple(np.concatenate(part) for part in out)
 
 
 def a_number_fast(curve: BasicCurve) -> int:

@@ -67,15 +67,39 @@ def block_count(p: int, d: int, i: int, j: int) -> int:
     return _block_count(p, d, i, j)
 
 
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Sum of floor((a*i + b)/m) over i = 0 .. n-1, exact, in O(log m) steps.
+
+    Any integers a and b, and m > 0.  Splitting off floor(a/m) and floor(b/m)
+    leaves 0 <= a, b < m; the rest counts lattice points under the line
+    y = (a*x + b)/m, which is the same sum with the axes swapped, m and a
+    exchanged (the Euclidean step).
+    """
+    total = 0
+    while n > 0:
+        q, a = divmod(a, m)
+        total += q * n * (n - 1) // 2
+        q, b = divmod(b, m)
+        total += q * n
+        top = a * n + b
+        if top < m:
+            break
+        n, b = divmod(top, m)
+        m, a = a, m
+    return total
+
+
 def level_sum(p: int, d: int, j: int) -> int:
     """Sum of block_count(p, d, i, j) over i = j .. p-1, validated once.
 
     A valid (p, d, j) makes every (p, d, i, j) with j <= i <= p-1 valid, so
-    the summands skip the check and its primality test by trial division,
-    which would cost far more than the sum at large p.
+    the summands skip the check.  With i = j + k each summand is
+    floor((d*k + d*j)/p) - floor((d*p*k + d*j)/p^2), so the sum is two floor
+    sums over k = 0 .. p-1-j, evaluated in O(log p) steps instead of p.
     """
     _check_pair(p, d, j, j)
-    return sum(_block_count(p, d, i, j) for i in range(j, p))
+    n = p - j
+    return _floor_sum(n, p, d, d * j) - _floor_sum(n, p * p, d * p, d * j)
 
 
 def lower_bound_single(p: int, d: int) -> int:

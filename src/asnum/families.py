@@ -11,19 +11,23 @@ so it is no table row.
 
 The tables are literal data found by machine search, not re-derived from
 formulas, and a claim covers only the degrees a sweep verified: every member
-with d <= 500 for p = 3, 5 and 7 (the acceptance sweeps), and for p = 7 every
-member with d <= 1028 (``asnum family --p 7 --dmax 1028``).  For p = 7, where
-the paper leaves the question mostly open, its patching reduction turns this
-into: for an ordinary X, the bound is realized for every branch locus whose
-jumps are all verified degrees.
+with d <= 500 for p = 3 and 5, and with d <= 1028 for p = 7 (the acceptance
+sweeps).  For p = 7, where the paper leaves the question mostly open, its
+patching reduction turns this into: for an ordinary X, the bound is realized
+for every branch locus whose jumps are all verified degrees.
+
+``verify_family`` builds and ranks the obstruction matrix of a member in
+coordinate form.  A member has at most three terms, so the matrix is almost
+empty (about 0.07 % nonzero at p = 5, d = 499) and peels to a tiny core.
 """
 
 from dataclasses import dataclass
 
-from .anumber import a_number_fast
+from .anumber import obstruction_coords
 from .bounds import lower_bound_single
 from .curve import BasicCurve
 from .fppoly import FpPoly
+from .linalg import coords_rank_nullity
 from .numutil import check_degree
 
 # p -> {delta: (strategy, ((slope, shift), ...))}: for d = p^2 m + delta the
@@ -209,10 +213,16 @@ class FamilyCheck:
 
 
 def verify_family(p: int, d: int) -> FamilyCheck:
-    """Build the family member for (p, d) and compare its a-number to the bound."""
+    """Build the family member for (p, d) and compare its a-number to the bound.
+
+    The a-number is the fast method's nullity of the obstruction matrix,
+    built and ranked in coordinate form: a member has at most three terms,
+    so its matrix is almost empty and peels to a tiny core.
+    """
     f, strategy = minimal_family(p, d)
     curve = BasicCurve.from_poly(p, f)
-    a = a_number_fast(curve)
+    shape = (curve.dim_obstruction, curve.dim_domain)
+    a = coords_rank_nullity(p, obstruction_coords(curve), shape)[1]
     return FamilyCheck(
         p=p, d=d, strategy=strategy, f=f, a=a, bound=lower_bound_single(p, d)
     )

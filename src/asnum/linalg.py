@@ -15,7 +15,11 @@ empty and peel to an empty or 2 x 2 core, so their rank costs O(nonzeros)
 instead of a walk over every column.  A peeling round is one pass over the
 nonzeros and saves a row of elimination per pivot, so the peel stops after a
 round whose pivots times the column count fall below the nonzeros it
-scanned, and _echelon ranks the core that is left.
+scanned, and _echelon ranks the core that is left.  The peel works on the
+(row, col) coordinates of the nonzeros, so a matrix can also be given in
+coordinate form (coords_rank_nullity): then only its core is ever made
+dense, and the rank of an almost empty matrix costs O(nonzeros), whatever
+its shape.
 
 stack_ranks is a second, independent elimination for the survey engine: it
 ranks a whole stack of small matrices at once, so numpy's per-call cost is
@@ -68,24 +72,23 @@ def _check_headroom(p: int) -> None:
     check_int64_sum(1, (p - 1) ** 2, "elimination")
 
 
-def _peel(a: np.ndarray) -> tuple[int, np.ndarray]:
-    """Pivots of ``a`` that its zero pattern fixes, and the core left to eliminate.
+def _peel(r: np.ndarray, c: np.ndarray, shape) -> tuple[int, np.ndarray, np.ndarray]:
+    """Pivots that the zero pattern fixes, and the coordinates left to eliminate.
 
-    Returns (peeled_rank, core) with rank(a) = peeled_rank + rank(core); no
-    arithmetic is done.  Each round is one pass over the coordinates of the
-    nonzeros.  It peels every singleton column, one pivot per row (another
-    singleton column in that row is left zero), or, when there is none, every
-    singleton row, one pivot per column.  The peel stops after a round whose
-    pivots times the column count fall below the nonzeros it scanned: such a
-    round costs more than the elimination steps it saves.  The core is the
-    submatrix of the rows and columns that still hold a nonzero, in their
-    original order.
+    ``r`` and ``c`` are the distinct (row, col) coordinates of the nonzeros
+    of a matrix of the given shape.  Returns (peeled_rank, r, c) with
+    rank = peeled_rank + rank(core), where (r, c) are the coordinates that
+    survive and the core is the submatrix of the rows and columns that still
+    hold one of them, in their original order: a coordinate survives exactly
+    when both its row and its column do.  No arithmetic is done.  Each round
+    is one pass over the coordinates.  It peels every singleton column, one
+    pivot per row (another singleton column in that row is left zero), or,
+    when there is none, every singleton row, one pivot per column.  The peel
+    stops after a round whose pivots times the column count fall below the
+    nonzeros it scanned: such a round costs more than the elimination steps
+    it saves.
     """
-    rows, cols = a.shape
-    if a.size == 0:
-        return 0, a
-    # np.nonzero on a 2-D int64 array is several times slower
-    r, c = np.divmod(np.flatnonzero(a != 0), cols)
+    rows, cols = shape
     peeled = 0
     while r.size:
         # every singleton column goes, with one pivot per row it sits in
@@ -107,9 +110,7 @@ def _peel(a: np.ndarray) -> tuple[int, np.ndarray]:
         r, c = r[keep], c[keep]
         if pivots * cols < scanned:
             break
-    live_rows = np.flatnonzero(np.bincount(r, minlength=rows))
-    live_cols = np.flatnonzero(np.bincount(c, minlength=cols))
-    return peeled, a[np.ix_(live_rows, live_cols)]
+    return peeled, r, c
 
 
 def _echelon(a: np.ndarray, p: int) -> int:
@@ -190,6 +191,31 @@ def rank_nullity(m: FpMatrix) -> tuple[int, int]:
     only the core that is left.
     """
     _check_headroom(m.p)
-    peeled, core = _peel(m.a)
-    rank = peeled + _echelon(core, m.p)
-    return rank, m.cols - rank
+    rows, cols = m.a.shape
+    # np.nonzero on a 2-D int64 array is several times slower
+    r, c = np.divmod(np.flatnonzero(m.a != 0), cols)
+    peeled, r, c = _peel(r, c, m.a.shape)
+    live_rows = np.flatnonzero(np.bincount(r, minlength=rows))
+    live_cols = np.flatnonzero(np.bincount(c, minlength=cols))
+    rank = peeled + _echelon(m.a[np.ix_(live_rows, live_cols)], m.p)
+    return rank, cols - rank
+
+
+def coords_rank_nullity(p: int, coords, shape) -> tuple[int, int]:
+    """Rank and nullity of a matrix over F_p given by its nonzero coordinates.
+
+    ``coords`` is (rows, cols, values): distinct coordinates, each with a
+    nonzero residue mod p, of a matrix of the given shape.  Same headroom
+    check and peel as rank_nullity; only the core is made dense, so the work
+    follows the nonzeros and the core, never the full shape.
+    """
+    _check_headroom(p)
+    r, c, v = coords
+    peeled, live_r, live_c = _peel(r, c, shape)
+    live_rows = np.bincount(live_r, minlength=shape[0]) > 0
+    live_cols = np.bincount(live_c, minlength=shape[1]) > 0
+    keep = live_rows[r] & live_cols[c]
+    core = np.zeros((np.count_nonzero(live_rows), np.count_nonzero(live_cols)), dtype=np.int64)
+    core[(np.cumsum(live_rows) - 1)[r[keep]], (np.cumsum(live_cols) - 1)[c[keep]]] = v[keep]
+    rank = peeled + _echelon(core, p)
+    return rank, shape[1] - rank

@@ -16,9 +16,11 @@ from asnum.anumber import (
     InvariantViolation,
     _certified_p_rank,
     _neg_f_power_stack,
+    _neg_f_power_terms,
     a_number_fast,
     a_number_oracle,
     cartier_matrix,
+    obstruction_coords,
     obstruction_matrix,
     p_rank,
     report,
@@ -229,8 +231,9 @@ class TestObstructionMap:
         # level's sums could pass 2^63; the guard must fire before any array
         p = 2**21 + 17
         big = SimpleNamespace(p=p, comp_bound=(2 * (p - 1) - 2,), f=FpPoly(p, (1, 1)))
-        with pytest.raises(HeadroomError, match="obstruction build"):
-            obstruction_matrix(big)
+        for build in (obstruction_matrix, obstruction_coords):
+            with pytest.raises(HeadroomError, match="obstruction build"):
+                build(big)
 
     def test_power_table_headroom_checked_before_building(self, monkeypatch):
         # p = 2^32 + 15: one product of two residues passes 2^63; with numpy
@@ -239,14 +242,81 @@ class TestObstructionMap:
         monkeypatch.setattr(asnum.anumber, "np", None)
         with pytest.raises(HeadroomError, match=r"\(-f\)\^e table"):
             _neg_f_power_stack(p, [(1, 1)])
+        with pytest.raises(HeadroomError, match=r"\(-f\)\^e table"):
+            _neg_f_power_terms(p, (1, 1))
 
     def test_shapes_on_degenerate_curves(self):
         c = make(3, "x^2")
         assert obstruction_matrix(c).a.shape == (1, 1)
         assert a_number_fast(c) == 1
+        assert_coords_match_dense(c)
         c = make(3, "x")
         assert obstruction_matrix(c).a.shape == (0, 0)
         assert a_number_fast(c) == 0
+        assert_coords_match_dense(c)
+
+
+def densified(curve):
+    """obstruction_coords(curve) as a dense array, once its coordinates are
+    checked: int64, each (row, col) once, every value a nonzero residue."""
+    r, c, v = obstruction_coords(curve)
+    assert r.dtype == c.dtype == v.dtype == np.int64
+    keys = r * curve.dim_domain + c
+    assert np.unique(keys).size == keys.size
+    assert ((v > 0) & (v < curve.p)).all()
+    m = np.zeros((curve.dim_obstruction, curve.dim_domain), dtype=np.int64)
+    m[r, c] = v
+    return m
+
+
+def assert_coords_match_dense(curve):
+    m = obstruction_matrix(curve).a
+    coords_m = densified(curve)
+    assert (coords_m.dtype, coords_m.shape) == (m.dtype, m.shape)
+    assert np.array_equal(coords_m, m), (curve.p, str(curve.f))
+
+
+class TestObstructionCoords:
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_family_members_match_the_dense_build(self, p):
+        for d in [*range(1, 121), 451, 499]:
+            if d % p:
+                assert_coords_match_dense(
+                    BasicCurve.from_poly(p, minimal_family(p, d)[0])
+                )
+
+    def test_family_matrix_bytes_pinned(self):
+        # the pin of TestObstructionMap, recomputed from the coordinates
+        m = densified(BasicCurve.from_poly(5, minimal_family(5, 499)[0]))
+        assert hashlib.sha1(m.tobytes()).hexdigest() == "714eba6687081b979d47907c412bb948e46d7a8b"
+
+    def test_power_terms_match_the_dense_table(self):
+        rng = np.random.default_rng(41)
+        for p, d in ((2, 9), (3, 10), (7, 12), (13, 5)):
+            coeffs = sample_poly(p, d, rng).coeffs
+            dense = _neg_f_power_stack(p, [coeffs])
+            for e, (exps, vals) in enumerate(_neg_f_power_terms(p, coeffs)):
+                row = dense[e][0]
+                assert exps.tolist() == np.flatnonzero(row).tolist(), (p, e)
+                assert vals.tolist() == row[exps].tolist(), (p, e)
+
+
+@st.composite
+def sparse_covers(draw, primes=(2, 3, 5, 7, 11, 13), dmax=60):
+    """Covers whose f has 1 to 5 nonzero terms before normalization."""
+    p = draw(st.sampled_from(primes))
+    d = draw(st.integers(1, dmax).filter(lambda d: d % p))
+    coeffs = [0] * (d + 1)
+    for e in draw(st.lists(st.integers(0, d - 1), max_size=4, unique=True)):
+        coeffs[e] = draw(st.integers(1, p - 1))
+    coeffs[d] = draw(st.integers(1, p - 1))
+    return BasicCurve.from_poly(p, FpPoly(p, coeffs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_covers())
+def test_coords_match_dense_build_on_sparse_f(c):
+    assert_coords_match_dense(c)
 
 
 @st.composite

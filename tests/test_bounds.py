@@ -8,6 +8,8 @@ import pytest
 import asnum.bounds
 from asnum.bounds import (
     RamificationData,
+    _block_count,
+    _floor_sum,
     block_count,
     level_sum,
     lower_bound,
@@ -68,6 +70,26 @@ def test_level_sum_values():
     assert level_sum(5, 11, 2) == 10
     assert level_sum(5, 11, 3) == 10
     assert level_sum(5, 1, 2) == 0
+
+
+def test_floor_sum_matches_the_loop():
+    for m in (1, 2, 3, 7, 9, 25):
+        for a in range(-30, 31, 7):
+            for b in range(-40, 41, 9):
+                for n in (0, 1, 2, 5, 13):
+                    expect = sum((a * i + b) // m for i in range(n))
+                    assert _floor_sum(n, m, a, b) == expect, (n, m, a, b)
+
+
+def test_level_sum_matches_the_direct_sum():
+    for p in (q for q in range(2, 60) if is_prime(q)):
+        for d in range(1, 3 * p + 1):
+            if d % p == 0:
+                continue
+            for j in range(p):
+                # the loop level_sum ran before it used floor sums
+                expect = sum(_block_count(p, d, i, j) for i in range(j, p))
+                assert level_sum(p, d, j) == expect, (p, d, j)
 
 
 def test_level_sum_checks_its_arguments_once(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 import asnum.anumber
 import asnum.cli
 from asnum.anumber import InvariantViolation
+from asnum.bounds import lower_bound_single
 from asnum.cli import main
 from asnum.experiments import Distribution
 
@@ -38,6 +39,18 @@ class TestBound:
         code, _, err = run(capsys, "bound", "--p", "3", "--d", "6")
         assert code != 0
         assert "divisible" in err
+
+    def test_each_bound_computed_once(self, capsys, monkeypatch):
+        # L(D) sums the printed single-point bounds instead of recomputing them
+        calls = []
+        monkeypatch.setattr(
+            asnum.cli, "lower_bound_single",
+            lambda p, d: calls.append(d) or lower_bound_single(p, d),
+        )
+        code, out, _ = run(capsys, "bound", "--p", "5", "--d", "11", "--d", "7", "--d", "11")
+        assert code == 0
+        assert calls == [11, 7, 11]
+        assert out.splitlines()[-1] == f"L(D) = {2 * lower_bound_single(5, 11) + lower_bound_single(5, 7)}"
 
 
 class TestAnumber:

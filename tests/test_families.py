@@ -2,14 +2,20 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from asnum.anumber import a_number_fast, a_number_oracle, obstruction_matrix
+from asnum.anumber import (
+    a_number_fast,
+    a_number_oracle,
+    obstruction_coords,
+    obstruction_matrix,
+)
 from asnum.bounds import lower_bound_single
 from asnum.curve import BasicCurve
 from asnum.families import ROWS, family_p5_mod5, minimal_family, verify_family
 from asnum.fppoly import FpPoly, parse_poly
-from asnum.linalg import _echelon, _peel
+from asnum.linalg import _echelon, _peel, coords_rank_nullity
 
 
 def poly5(text):
@@ -251,7 +257,11 @@ class TestVerifyFamily:
         for d in [*range(1, 121), 451, 499]:
             if d % p == 0:
                 continue
-            m = obstruction_matrix(BasicCurve.from_poly(p, minimal_family(p, d)[0]))
-            peeled, core = _peel(m.a)
-            assert core.size <= 4, (p, d, core.shape)
-            assert peeled + _echelon(core, p) == _echelon(m.a, p), (p, d)
+            curve = BasicCurve.from_poly(p, minimal_family(p, d)[0])
+            r, c, v = obstruction_coords(curve)
+            shape = (curve.dim_obstruction, curve.dim_domain)
+            _, live_r, live_c = _peel(r, c, shape)
+            core_shape = (np.unique(live_r).size, np.unique(live_c).size)
+            assert core_shape[0] * core_shape[1] <= 4, (p, d, core_shape)
+            rank = coords_rank_nullity(p, (r, c, v), shape)[0]
+            assert rank == _echelon(obstruction_matrix(curve).a, p), (p, d)

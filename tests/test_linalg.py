@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from asnum.linalg import FpMatrix, _echelon, _peel, rank_nullity, stack_ranks
+from asnum.linalg import (
+    FpMatrix,
+    _echelon,
+    _peel,
+    coords_rank_nullity,
+    rank_nullity,
+    stack_ranks,
+)
 from asnum.numutil import HeadroomError
 from reference import kernel_vectors
 
@@ -12,6 +19,27 @@ def sparse(rng, p, rows, cols, density):
     """A random rows x cols matrix mod p whose entries are nonzero with probability density."""
     mask = rng.random((rows, cols)) < density
     return np.where(mask, rng.integers(1, p, size=(rows, cols)), 0)
+
+
+def coords(m):
+    """The nonzero coordinates (rows, cols, values) of a dense matrix."""
+    r, c = np.nonzero(m)
+    return r, c, m[r, c]
+
+
+def peel(m):
+    """The coordinate peel of a dense matrix: (peeled, core)."""
+    r, c, _ = coords(m)
+    peeled, r, c = _peel(r, c, m.shape)
+    return peeled, m[np.ix_(np.unique(r), np.unique(c))]
+
+
+# the two entry points to one peel, a dense matrix or its own coordinates;
+# the peel tests run each case through both
+RANKS = (
+    lambda p, m: rank_nullity(FpMatrix(p, m)),
+    lambda p, m: coords_rank_nullity(p, coords(np.asarray(m) % p), np.shape(m)),
+)
 
 
 def test_rank_nullity_examples():
@@ -81,24 +109,26 @@ def test_headroom_checked_before_the_peel():
     # diag(p - 1, 1) peels to an empty core, so no product is ever formed;
     # the precondition still holds for every matrix at this p
     p = 2**32 + 15
-    m = FpMatrix(p, [[p - 1, 0], [0, 1]])
-    assert _peel(m.a)[1].size == 0
-    with pytest.raises(HeadroomError, match="elimination"):
-        rank_nullity(m)
+    m = np.array([[p - 1, 0], [0, 1]])
+    assert peel(m)[1].size == 0
+    for rank in RANKS:
+        with pytest.raises(HeadroomError, match="elimination"):
+            rank(p, m)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
 def test_peel_matches_echelon_on_sparse_matrices(p):
     rng = np.random.default_rng(100 + p)
     for rows, cols in ((0, 5), (5, 0), (1, 1), (6, 6), (3, 17), (17, 3), (40, 40)):
-        assert rank_nullity(FpMatrix(p, np.zeros((rows, cols)))) == (0, cols)
+        for rank in RANKS:
+            assert rank(p, np.zeros((rows, cols), dtype=np.int64)) == (0, cols)
         for density in (0.02, 0.08, 0.2, 0.5):
             for _ in range(4):
                 m = sparse(rng, p, rows, cols, density)
-                rank = _echelon(m, p)
-                peeled, core = _peel(m)
-                assert peeled + _echelon(core, p) == rank
-                assert rank_nullity(FpMatrix(p, m))[0] == rank
+                expect = _echelon(m, p)
+                peeled, core = peel(m)
+                assert peeled + _echelon(core, p) == expect
+                assert [rank(p, m)[0] for rank in RANKS] == [expect, expect]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
@@ -113,14 +143,15 @@ def test_peel_planted_singletons(p):
         m[9] = 0
         # one pivot per row, then one round of 2 pivots is worth less than
         # the scan, so the rest is the core
-        peeled, core = _peel(m)
+        peeled, core = peel(m)
         assert (peeled, core.shape) == (2, (9, 12))
-        assert rank_nullity(FpMatrix(p, m))[0] == _echelon(m, p)
+        expect = _echelon(m, p)
+        assert [rank(p, m)[0] for rank in RANKS] == [expect, expect]
         # transposed, there is no singleton column: the rows peel, one pivot
         # per column, and the zero row is a zero column
-        peeled, core = _peel(m.T)
+        peeled, core = peel(m.T)
         assert (peeled, core.shape) == (2, (12, 9))
-        assert rank_nullity(FpMatrix(p, m.T))[0] == _echelon(m, p)
+        assert [rank(p, m.T)[0] for rank in RANKS] == [expect, expect]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
@@ -131,11 +162,12 @@ def test_peel_stops_on_a_chain_of_one_pivot_rounds(p):
     rng = np.random.default_rng(300 + p)
     n = 30
     m = np.diag(rng.integers(1, p, size=n)) + np.diag(rng.integers(1, p, size=n - 1), 1)
-    peeled, core = _peel(m)
+    peeled, core = peel(m)
     assert (peeled, core.shape) == (1, (n - 1, n - 1))
-    assert rank_nullity(FpMatrix(p, m)) == (n, 0)
+    assert [rank(p, m) for rank in RANKS] == [(n, 0), (n, 0)]
     m[n // 2, n // 2] = 0
-    assert rank_nullity(FpMatrix(p, m))[0] == _echelon(m, p)
+    expect = _echelon(m, p)
+    assert [rank(p, m)[0] for rank in RANKS] == [expect, expect]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 13])
@@ -153,8 +185,9 @@ def test_stack_ranks_match_rank_nullity(p):
 
 
 def test_empty_matrix_edges():
-    assert rank_nullity(FpMatrix(5, np.zeros((0, 3)))) == (0, 3)
-    assert rank_nullity(FpMatrix(5, np.zeros((3, 0)))) == (0, 0)
+    for rank in RANKS:
+        assert rank(5, np.zeros((0, 3), dtype=np.int64)) == (0, 3)
+        assert rank(5, np.zeros((3, 0), dtype=np.int64)) == (0, 0)
 
 
 def test_validation():
