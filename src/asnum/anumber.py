@@ -247,7 +247,8 @@ def obstruction_coords(curve: BasicCurve) -> tuple[np.ndarray, np.ndarray, np.nd
         if curve.slot_count[t]:
             # the obstruction rows of level t are a run of the sorted keys
             u0 = (curve.slot_start[t] - (p - 1)) // p
-            lo, hi = np.searchsorted(keys, [u0 * ncols, (u0 + curve.slot_count[t]) * ncols])
+            end = u0 + curve.slot_count[t]
+            lo, hi = np.searchsorted(keys, [u0 * ncols, end * ncols])
             u, c = np.divmod(keys[lo:hi], ncols)
             out[0].append(u - u0 + row[t])
             out[1].append(c)

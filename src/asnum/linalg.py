@@ -214,8 +214,12 @@ def coords_rank_nullity(p: int, coords, shape) -> tuple[int, int]:
     peeled, live_r, live_c = _peel(r, c, shape)
     live_rows = np.bincount(live_r, minlength=shape[0]) > 0
     live_cols = np.bincount(live_c, minlength=shape[1]) > 0
+    # a coordinate is in the core when both its row and its column are live;
+    # the cumulative counts renumber the live rows and columns from 0
     keep = live_rows[r] & live_cols[c]
-    core = np.zeros((np.count_nonzero(live_rows), np.count_nonzero(live_cols)), dtype=np.int64)
-    core[(np.cumsum(live_rows) - 1)[r[keep]], (np.cumsum(live_cols) - 1)[c[keep]]] = v[keep]
+    row_at, col_at = np.cumsum(live_rows) - 1, np.cumsum(live_cols) - 1
+    size = (np.count_nonzero(live_rows), np.count_nonzero(live_cols))
+    core = np.zeros(size, dtype=np.int64)
+    core[row_at[r[keep]], col_at[c[keep]]] = v[keep]
     rank = peeled + _echelon(core, p)
     return rank, shape[1] - rank

@@ -47,10 +47,13 @@ class TestBound:
             asnum.cli, "lower_bound_single",
             lambda p, d: calls.append(d) or lower_bound_single(p, d),
         )
-        code, out, _ = run(capsys, "bound", "--p", "5", "--d", "11", "--d", "7", "--d", "11")
+        code, out, _ = run(
+            capsys, "bound", "--p", "5", "--d", "11", "--d", "7", "--d", "11"
+        )
         assert code == 0
         assert calls == [11, 7, 11]
-        assert out.splitlines()[-1] == f"L(D) = {2 * lower_bound_single(5, 11) + lower_bound_single(5, 7)}"
+        total = 2 * lower_bound_single(5, 11) + lower_bound_single(5, 7)
+        assert out.splitlines()[-1] == f"L(D) = {total}"
 
 
 class TestAnumber:
