@@ -26,7 +26,7 @@ from .bounds import (
     lower_bound_single,
     threshold,
 )
-from .curve import BasicCurve, domain_basis, level_exponents
+from .curve import BasicCurve
 from .experiments import (
     Distribution,
     SearchResult,
@@ -74,9 +74,7 @@ __all__ = [
     "block_count",
     "cartier_matrix",
     "distribution",
-    "domain_basis",
     "family_p5_mod5",
-    "level_exponents",
     "level_sum",
     "lower_bound",
     "lower_bound_p3",

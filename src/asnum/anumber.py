@@ -16,10 +16,13 @@ table of powers (-f)^e, so their agreement is a meaningful end-to-end check.
 The power table and the obstruction build take a stack of polynomials of one
 degree, one row each, since every matrix shape depends only on (p, d): the
 survey engine builds a whole chunk of covers in one pass, and a single curve
-is a stack of one.  The table is built with numpy in int64, and the builds'
-int64 sums are checked for headroom before anything is built.  The tests
-check every column of the obstruction matrix against a lift of one tuple at
-a time in exact FpPoly arithmetic, which builds its own powers.
+is a stack of one.  Both obstruction builds place their columns and rows by
+the layout of BasicCurve (col_start, row_start and its column map).  The
+table is built with numpy in int64; the builds' int64 sums are checked for
+headroom, and each dense matrix's size against numutil.MAX_CELLS, before
+anything is built.  The tests check every column of the obstruction matrix
+against a lift of one tuple at a time in exact FpPoly arithmetic, which
+builds its own powers and enumerates its own basis.
 
 obstruction_coords makes the same sweep in coordinate form for f with few
 terms: it follows only the nonzero terms of (-f)^e, from a power table of
@@ -39,14 +42,13 @@ point over the projective line).
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
 from .bounds import lower_bound_single
-from .curve import BasicCurve, level_exponents
+from .curve import BasicCurve
 from .linalg import FpMatrix, rank_nullity
-from .numutil import check_int64_sum
+from .numutil import check_cells, check_int64_sum
 
 
 class InvariantViolation(AssertionError):
@@ -98,9 +100,8 @@ def _compressed_rows(curve: BasicCurve) -> list[int]:
 def obstruction_matrix(curve: BasicCurve) -> FpMatrix:
     """Matrix of the obstruction map over the kernel-tuple basis.
 
-    Columns follow domain_basis order; rows are obstruction slots,
-    level-major then exponent ascending.  Built as a stack of one by
-    obstruction_stack.
+    Columns and rows follow the curve's layout (BasicCurve: col_start,
+    row_start).  Built as a stack of one by obstruction_stack.
     """
     return FpMatrix(curve.p, obstruction_stack(curve, [curve.f.coeffs])[0])
 
@@ -111,9 +112,10 @@ def obstruction_stack(curve: BasicCurve, coeffs) -> np.ndarray:
     The rows are polynomials of degree curve.d over F_p; the matrix shape
     depends only on (p, d), so ``curve`` supplies it and the result is an
     (N, dim_obstruction, dim_domain) int64 stack, the same arithmetic for
-    every row.  Below its top level a reconstructed component lives on
-    exponents = -1 (mod p) only, so level t is stored compressed: row u
-    stands for exponent p*u + p - 1.  One downward sweep
+    every row; each matrix must stay within numutil.MAX_CELLS.  Below its
+    top level a reconstructed component lives on exponents = -1 (mod p)
+    only, so level t is stored compressed: row u stands for exponent
+    p*u + p - 1.  One downward sweep
     t = p-2 .. 0 covers every basis column at once; at level t it touches
     only the columns whose top level is above t.  A source level src adds
     comb(src, t) * omega[src] * g with g = (-f)^(src-t) in two parts: the
@@ -125,14 +127,16 @@ def obstruction_stack(curve: BasicCurve, coeffs) -> np.ndarray:
     """
     p = curve.p
     rows = _compressed_rows(curve)
+    shape = (curve.dim_obstruction, curve.dim_domain)
+    check_cells(*shape, "obstruction matrix")
     negf = _neg_f_power_stack(p, coeffs)
     n = negf[0].shape[0]
-    exps = [np.array(level_exponents(curve, i), dtype=np.int64) for i in range(p)]
-    col = list(accumulate((len(e) for e in exps), initial=0))
-    mat = np.zeros((n, curve.dim_obstruction, curve.dim_domain), dtype=np.int64)
+    col, row = curve.col_start, curve.row_start
+    # each level's column exponents, by BasicCurve's column map
+    exps = [k + k // (p - 1) for k in map(np.arange, np.diff(col))]
+    mat = np.zeros((n, *shape), dtype=np.int64)
     # comp[t]: compressed level-t components of the columns col[t+1]: onwards
     comp = [np.zeros((n, 0, 0), dtype=np.int64)] * p
-    row = list(accumulate(curve.slot_count, initial=0))
     for t in range(p - 2, -1, -1):
         base = col[t + 1]
         acc = np.zeros((n, rows[t], col[p] - base), dtype=np.int64)
@@ -208,11 +212,7 @@ def obstruction_coords(curve: BasicCurve) -> tuple[np.ndarray, np.ndarray, np.nd
     _compressed_rows(curve)  # the headroom check, before anything is built
     negf = _neg_f_power_terms(p, curve.f.coeffs)
     ncols = curve.dim_domain
-    # level i offers the exponents 0 .. reg_bound[i] but those = -1 (mod p),
-    # and x^j is its column j - (j + 1) // p
-    sizes = [max(b + 1 - (b + 1) // p, 0) for b in curve.reg_bound]
-    col = list(accumulate(sizes, initial=0))
-    row = list(accumulate(curve.slot_count, initial=0))
+    col, row = curve.col_start, curve.row_start
     empty = np.zeros(0, dtype=np.int64)
     # comp[t]: compressed level-t components of the columns col[t+1]: onwards,
     # as ascending keys u * ncols + column and their values
@@ -223,7 +223,7 @@ def obstruction_coords(curve: BasicCurve) -> tuple[np.ndarray, np.ndarray, np.nd
         for src in range(t + 1, p):
             exps, vals = negf[src - t]
             g = math.comb(src, t) % p * vals % p
-            if sizes[src]:
+            if col[src + 1] > col[src]:
                 # per term, the exponents j = r, r + p, ... <= reg_bound[src]
                 # with j + e = -1 (mod p); none when r = p - 1
                 r = (-1 - exps) % p
@@ -267,8 +267,10 @@ def cartier_matrix(curve: BasicCurve) -> FpMatrix:
     Basis: x^j y^i dx with 0 <= j <= reg_bound[i], level-major; its size is
     the genus.  Each (t, i) level block is one gather from (-f)^(i-t) by the
     closed form in the module docstring.  The operator preserves the regular
-    span; the implementation checks this instead of assuming it.
+    span; the implementation checks this instead of assuming it.  The
+    matrix must stay within numutil.MAX_CELLS.
     """
+    check_cells(curve.genus, curve.genus, "Cartier matrix")
     p = curve.p
     negf = _neg_f_power_stack(p, [curve.f.coeffs])
     sizes = [max(b + 1, 0) for b in curve.reg_bound]

@@ -3,10 +3,11 @@
 A differential on the cover is a tuple of line differentials, one per power
 of y.  All the per-level integer data needed downstream is derived here once:
 degree caps for regular components, degree caps for reconstructed components,
-and the arithmetic progression of "obstruction" exponents in between.
+the "obstruction" exponents in between, and the obstruction matrix's layout.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .fppoly import FpPoly, normalize_artin_schreier
 from .numutil import ceil_div
@@ -26,6 +27,13 @@ class BasicCurve:
     Obstruction exponents are the e = -1 (mod p) with
     reg_bound[i] < e <= comp_bound[i]; a reconstructed differential is regular
     exactly when its coefficients vanish at every one of them.
+
+    The obstruction matrix is laid out level-major: columns col_start[i] ..
+    col_start[i+1] - 1 are the x^j dx of level i with 0 <= j <= reg_bound[i]
+    and j != -1 (mod p), ascending (column k of the level is x^j with
+    j = k + k // (p - 1), and x^j is column j - (j + 1) // p), and rows
+    row_start[i] .. row_start[i+1] - 1 are its obstruction exponents,
+    ascending.  dim_domain and dim_obstruction are the last offsets.
     """
 
     p: int
@@ -36,8 +44,16 @@ class BasicCurve:
     slot_start: tuple
     slot_count: tuple[int, ...]
     genus: int
-    dim_domain: int
-    dim_obstruction: int
+    col_start: tuple[int, ...]
+    row_start: tuple[int, ...]
+
+    @property
+    def dim_domain(self) -> int:
+        return self.col_start[-1]
+
+    @property
+    def dim_obstruction(self) -> int:
+        return self.row_start[-1]
 
     @classmethod
     def from_poly(cls, p: int, f: FpPoly) -> "BasicCurve":
@@ -55,45 +71,21 @@ class BasicCurve:
             raise ValueError("ramification invariant divisible by p")
         reg = tuple(ceil_div((p - 1 - i) * d, p) - 2 for i in range(p))
         comp = tuple((p - 1 - i) * d - 2 for i in range(p))
-        starts = []
-        counts = []
-        for i in range(p):
-            s = reg[i] + 1 + (p - 1 - (reg[i] + 1)) % p
-            if s <= comp[i]:
-                starts.append(s)
-                counts.append((comp[i] - s) // p + 1)
-            else:
-                starts.append(None)
-                counts.append(0)
-        genus = (p - 1) * (d - 1) // 2
-        dim_domain = sum(
-            ceil_div((p - 1 - i) * d, p) - ceil_div((p - 1 - i) * d, p * p)
-            for i in range(p)
-        )
+        # the first e = -1 (mod p) above reg_bound, and how many fit up to comp_bound
+        first = [b + 1 + (p - 2 - b) % p for b in reg]
+        counts = [max((c - s) // p + 1, 0) for s, c in zip(first, comp)]
+        # level i offers the b + 1 exponents 0 .. b = reg_bound[i] less the
+        # (b + 1) // p of them that are -1 (mod p)
+        cols = (max(b + 1 - (b + 1) // p, 0) for b in reg)
         return cls(
             p=p,
             f=g,
             d=d,
             reg_bound=reg,
             comp_bound=comp,
-            slot_start=tuple(starts),
+            slot_start=tuple(s if n else None for s, n in zip(first, counts)),
             slot_count=tuple(counts),
-            genus=genus,
-            dim_domain=dim_domain,
-            dim_obstruction=sum(counts),
+            genus=(p - 1) * (d - 1) // 2,
+            col_start=tuple(accumulate(cols, initial=0)),
+            row_start=tuple(accumulate(counts, initial=0)),
         )
-
-
-def level_exponents(curve: BasicCurve, i: int) -> list[int]:
-    """Exponents j usable in the level-i component of a kernel tuple.
-
-    These are 0 <= j <= reg_bound[i] with j != -1 (mod p), i.e. the monomial
-    differentials x^j dx killed by the Cartier operator within the degree cap.
-    """
-    p = curve.p
-    return [j for j in range(curve.reg_bound[i] + 1) if (j + 1) % p != 0]
-
-
-def domain_basis(curve: BasicCurve) -> list[tuple[int, int]]:
-    """All (level, exponent) pairs indexing the kernel-tuple basis, level-major."""
-    return [(i, j) for i in range(curve.p) for j in level_exponents(curve, i)]

@@ -5,31 +5,32 @@ as its pivot count.  The matrices in this package stay at most a few thousand
 square, so exactness and simplicity win over asymptotics.  All mod-p
 reductions are on integers, never floats.
 
-Before it eliminates, rank_nullity peels the pivots that the zero pattern
-alone fixes (structured Gaussian elimination, after LaMacchia and Odlyzko).
-A zero row or column adds nothing to the rank.  A column whose only nonzero
-sits in row r is a multiple of e_r, so column operations clear the rest of
-row r, and rank(A) = 1 + rank(A without row r and that column); the same
-holds for rows.  The obstruction matrices of the minimal families are almost
+A single matrix is ranked by one body, coords_rank_nullity, which takes the
+(row, col) coordinates and values of its nonzeros; rank_nullity hands it
+those of a dense FpMatrix.  Before it eliminates, the body peels the pivots
+that the zero pattern alone fixes (structured Gaussian elimination, after
+LaMacchia and Odlyzko).  A zero row or column adds nothing to the rank.  A
+column whose only nonzero sits in row r is a multiple of e_r, so column
+operations clear the rest of row r, and rank(A) = 1 + rank(A without row r
+and that column); the same holds for rows.  The obstruction matrices of the minimal families are almost
 empty and peel to an empty or 2 x 2 core, so their rank costs O(nonzeros)
 instead of a walk over every column.  A peeling round is one pass over the
 nonzeros and saves a row of elimination per pivot, so the peel stops after a
 round whose pivots times the column count fall below the nonzeros it
-scanned, and _echelon ranks the core that is left.  The peel works on the
-(row, col) coordinates of the nonzeros, so a matrix can also be given in
-coordinate form (coords_rank_nullity): then only its core is ever made
-dense, and the rank of an almost empty matrix costs O(nonzeros), whatever
-its shape.
+scanned, and _echelon ranks the core that is left.  Only that core is ever
+made dense, so a matrix given in coordinate form costs O(nonzeros) when it
+is almost empty, whatever its shape.
 
 stack_ranks is a second, independent elimination for the survey engine: it
 ranks a whole stack of small matrices at once, so numpy's per-call cost is
 paid per column of the stack instead of per column of every matrix.  On a
-single matrix it is slower than _echelon, so rank_nullity keeps _echelon.
+single matrix it is slower than _echelon, so the single-matrix body keeps
+_echelon.
 """
 
 import numpy as np
 
-from .numutil import check_int64_sum, is_prime
+from .numutil import check_cells, check_int64_sum, is_prime
 
 
 class FpMatrix:
@@ -78,9 +79,9 @@ def _peel(r: np.ndarray, c: np.ndarray, shape) -> tuple[int, np.ndarray, np.ndar
     ``r`` and ``c`` are the distinct (row, col) coordinates of the nonzeros
     of a matrix of the given shape.  Returns (peeled_rank, r, c) with
     rank = peeled_rank + rank(core), where (r, c) are the coordinates that
-    survive and the core is the submatrix of the rows and columns that still
-    hold one of them, in their original order: a coordinate survives exactly
-    when both its row and its column do.  No arithmetic is done.  Each round
+    survive, in input order, and the core is the submatrix of the rows and
+    columns that still hold one of them, in their original order: a
+    coordinate survives exactly when both its row and its column do.  No arithmetic is done.  Each round
     is one pass over the coordinates.  It peels every singleton column, one
     pivot per row (another singleton column in that row is left zero), or,
     when there is none, every singleton row, one pivot per column.  The peel
@@ -184,42 +185,34 @@ def stack_ranks(a: np.ndarray, p: int) -> np.ndarray:
 def rank_nullity(m: FpMatrix) -> tuple[int, int]:
     """Rank and nullity of ``m``; rank + nullity = cols.
 
-    Checks int64 headroom first, whatever the zero pattern, then peels the
-    pivots of singleton columns and rows (exact: such a column is a multiple
-    of a unit vector, so its row and column leave with rank 1) until a round
-    peels fewer pivots than its scan of the nonzeros is worth, and eliminates
-    only the core that is left.
+    Hands the coordinates and values of m's nonzeros to coords_rank_nullity.
     """
-    _check_headroom(m.p)
-    rows, cols = m.a.shape
     # np.nonzero on a 2-D int64 array is several times slower
-    r, c = np.divmod(np.flatnonzero(m.a != 0), cols)
-    peeled, r, c = _peel(r, c, m.a.shape)
-    live_rows = np.flatnonzero(np.bincount(r, minlength=rows))
-    live_cols = np.flatnonzero(np.bincount(c, minlength=cols))
-    rank = peeled + _echelon(m.a[np.ix_(live_rows, live_cols)], m.p)
-    return rank, cols - rank
+    flat = np.flatnonzero(m.a != 0)
+    r, c = np.divmod(flat, m.cols)
+    return coords_rank_nullity(m.p, (r, c, m.a.ravel()[flat]), m.a.shape)
 
 
 def coords_rank_nullity(p: int, coords, shape) -> tuple[int, int]:
     """Rank and nullity of a matrix over F_p given by its nonzero coordinates.
 
     ``coords`` is (rows, cols, values): distinct coordinates, each with a
-    nonzero residue mod p, of a matrix of the given shape.  Same headroom
-    check and peel as rank_nullity; only the core is made dense, so the work
-    follows the nonzeros and the core, never the full shape.
+    nonzero residue mod p, of a matrix of the given shape.  Checks int64
+    headroom first, whatever the zero pattern, peels (_peel), and makes only
+    the core dense, within numutil.MAX_CELLS, for _echelon: the work follows
+    the nonzeros and the core, never the full shape.
     """
     _check_headroom(p)
     r, c, v = coords
     peeled, live_r, live_c = _peel(r, c, shape)
     live_rows = np.bincount(live_r, minlength=shape[0]) > 0
     live_cols = np.bincount(live_c, minlength=shape[1]) > 0
-    # a coordinate is in the core when both its row and its column are live;
-    # the cumulative counts renumber the live rows and columns from 0
-    keep = live_rows[r] & live_cols[c]
+    # the survivors, in input order, are the coordinates whose row and column
+    # are both live; the cumulative counts renumber those from 0
     row_at, col_at = np.cumsum(live_rows) - 1, np.cumsum(live_cols) - 1
     size = (np.count_nonzero(live_rows), np.count_nonzero(live_cols))
+    check_cells(*size, "elimination core")
     core = np.zeros(size, dtype=np.int64)
-    core[row_at[r[keep]], col_at[c[keep]]] = v[keep]
+    core[row_at[live_r], col_at[live_c]] = v[live_rows[r] & live_cols[c]]
     rank = peeled + _echelon(core, p)
     return rank, shape[1] - rank

@@ -4,6 +4,10 @@ import math
 
 INT64_MAX = 2**63 - 1
 
+# most cells of a dense array whose size comes from the input: 512 MiB of
+# int64, 67x the (5, 499) Cartier matrix (996 x 996) and 64x a survey chunk
+MAX_CELLS = 2**26
+
 
 class HeadroomError(ValueError):
     """An int64 sum the computation needs could overflow; raised before it starts."""
@@ -15,6 +19,12 @@ def check_int64_sum(terms: int, term_max: int, what: str) -> None:
         raise HeadroomError(
             f"{what}: {terms} terms up to {term_max} could overflow int64"
         )
+
+
+def check_cells(rows: int, cols: int, what: str) -> None:
+    """Raise ValueError unless a dense rows x cols array stays within MAX_CELLS."""
+    if rows * cols > MAX_CELLS:
+        raise ValueError(f"{what}: {rows} x {cols} exceeds the limit of {MAX_CELLS} cells")
 
 
 def is_prime(n: int) -> bool:

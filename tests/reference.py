@@ -6,13 +6,29 @@ degree at most reg_bound[i]; a differential on the cover is the tuple of the
 h in its components h y^i dx.  reconstruct builds its own powers (-f)^e with
 exact FpPoly products, so it shares no arithmetic with the int64 table of
 asnum.anumber, and kernel_vectors eliminates in Python ints, sharing no code
-with asnum.linalg.
+with asnum.linalg.  domain_basis enumerates the kernel-tuple basis one
+exponent at a time, so the column checks share no column order with the
+builds either.
 """
 
 import math
 
-from asnum.curve import domain_basis
 from asnum.fppoly import FpPoly
+
+
+def domain_basis(curve) -> list[tuple[int, int]]:
+    """The (level, exponent) pairs of the kernel-tuple basis, level-major.
+
+    Level i holds the x^j dx with 0 <= j <= reg_bound[i] that the Cartier
+    operator kills, the j with j + 1 not divisible by p, exponent ascending.
+    """
+    p = curve.p
+    return [
+        (i, j)
+        for i in range(p)
+        for j in range(curve.reg_bound[i] + 1)
+        if (j + 1) % p != 0
+    ]
 
 
 def cartier(h: FpPoly) -> FpPoly:

@@ -26,7 +26,7 @@ from asnum.anumber import (
     report,
 )
 from asnum.bounds import lower_bound_single
-from asnum.curve import BasicCurve, domain_basis
+from asnum.curve import BasicCurve
 from asnum.families import minimal_family
 from asnum.fppoly import FpPoly, parse_poly
 from asnum.linalg import FpMatrix, rank_nullity
@@ -34,6 +34,7 @@ from asnum.experiments import sample_poly
 from asnum.numutil import HeadroomError
 from reference import (
     cartier,
+    domain_basis,
     from_coords,
     is_regular,
     kernel_vectors,

@@ -6,6 +6,7 @@ from pathlib import Path
 import asnum
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+REFERENCE = Path(__file__).resolve().parent / "reference.py"
 
 
 def test_benchmark_imports_are_public():
@@ -23,8 +24,9 @@ def test_benchmark_imports_are_public():
 
 
 def test_public_names_resolve_and_the_test_reference_is_not_public():
-    # the kernel-tuple lift and its line operators serve only the tests
-    # (tests/reference.py), so the package does not carry them
+    # the kernel-tuple lift, its line operators and the basis enumeration
+    # serve only the tests (tests/reference.py), so the package does not
+    # carry them
     assert len(asnum.__all__) == len(set(asnum.__all__))
     assert all(hasattr(asnum, name) for name in asnum.__all__)
     gone = [
@@ -36,7 +38,24 @@ def test_public_names_resolve_and_the_test_reference_is_not_public():
         "linalg.kernel_basis",
         "fppoly.cartier",
         "fppoly.section_after_cartier",
+        "curve.level_exponents",
+        "curve.domain_basis",
     ]
     for path in gone:
         module, name = path.split(".")
         assert name not in asnum.__all__ and not hasattr(getattr(asnum, module), name), path
+
+
+def test_reference_takes_only_the_polynomial_type_from_the_package():
+    # the column reference must share no layout or arithmetic with the builds
+    # it checks: its one asnum import is FpPoly
+    tree = ast.parse(REFERENCE.read_text())
+    imports = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imports += [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imports += [alias.name for alias in node.names]
+    assert [name for name in imports if name.split(".")[0] == "asnum"] == [
+        "asnum.fppoly.FpPoly"
+    ]

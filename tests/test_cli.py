@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import asnum.anumber
@@ -107,6 +108,28 @@ class TestAnumber:
         assert code == 0
         assert "methods agree" in out
         assert len(built) == 1
+
+    @pytest.mark.parametrize("method", ["fast", "oracle"])
+    def test_oversized_matrix_is_refused_before_allocating(
+        self, capsys, monkeypatch, method
+    ):
+        # d = 100001 asks for a 191 GiB obstruction matrix and a 298 GiB
+        # Cartier matrix; with np.zeros unavailable in asnum.anumber, an array
+        # allocated before the size check fails the test instead of filling memory
+        class NoZeros:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def zeros(self, *args, **kwargs):
+                raise AssertionError("np.zeros called before the size check")
+
+        monkeypatch.setattr(asnum.anumber, "np", NoZeros())
+        code, out, err = run(
+            capsys, "anumber", "--p", "5", "--f", "x^100001", "--method", method
+        )
+        assert code == 1
+        assert err.startswith("error: ") and "exceeds the limit of" in err
+        assert "Traceback" not in err + out
 
     def test_invariant_violation_exits_3(self, capsys, monkeypatch):
         def broken(curve, method="fast"):

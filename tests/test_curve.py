@@ -1,9 +1,10 @@
-"""Curve model: derived per-level data, genus, basis enumeration, edge degrees."""
+"""Curve model: derived per-level data, genus, matrix layout, edge degrees."""
 
 import pytest
 
-from asnum.curve import BasicCurve, domain_basis, level_exponents
+from asnum.curve import BasicCurve
 from asnum.fppoly import FpPoly, SplitCoverError, parse_poly
+from reference import domain_basis
 
 
 def make(p, text):
@@ -24,7 +25,8 @@ def test_worked_example_d11():
 
 def test_level_exponent_counts_d11():
     c = make(5, "x^11")
-    assert [len(level_exponents(c, i)) for i in range(5)] == [7, 5, 4, 2, 0]
+    assert c.col_start == (0, 7, 12, 16, 18, 18)
+    assert c.row_start == (0, 7, 12, 16, 18, 18)
     assert len(domain_basis(c)) == 18
 
 
@@ -59,12 +61,20 @@ def test_genus_equals_monomial_count():
 
 
 def test_dim_domain_closed_form_matches_enumeration():
+    # every layout offset against a count: columns of the reference basis,
+    # rows of the slot counts
     for p in (2, 3, 5, 7, 11, 13):
         for d in range(1, 101):
             if d % p == 0:
                 continue
             c = make(p, f"x^{d}")
+            levels = [i for i, _ in domain_basis(c)]
+            assert c.col_start == tuple(
+                sum(level < i for level in levels) for i in range(p + 1)
+            ), (p, d)
+            assert c.row_start == tuple(sum(c.slot_count[:i]) for i in range(p + 1))
             assert c.dim_domain == len(domain_basis(c)), (p, d)
+            assert c.dim_obstruction == sum(c.slot_count), (p, d)
 
 
 def test_top_level_always_empty():

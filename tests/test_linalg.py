@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import asnum.linalg
 from asnum.linalg import (
     FpMatrix,
     _echelon,
@@ -114,6 +115,25 @@ def test_headroom_checked_before_the_peel():
     for rank in RANKS:
         with pytest.raises(HeadroomError, match="elimination"):
             rank(p, m)
+
+
+def test_core_size_checked_before_densifying(monkeypatch):
+    # a cycle through 8193 rows and columns: nothing peels, so the core is
+    # the whole 8193 x 8193 matrix, just over the limit; with np.zeros
+    # unavailable in asnum.linalg, a core made before the check fails fast
+    class NoZeros:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def zeros(self, *args, **kwargs):
+            raise AssertionError("np.zeros called before the size check")
+
+    monkeypatch.setattr(asnum.linalg, "np", NoZeros())
+    n = 2**13 + 1
+    r = np.arange(n).repeat(2)
+    c = (r + np.tile([0, 1], n)) % n
+    with pytest.raises(ValueError, match=f"{n} x {n} exceeds the limit"):
+        coords_rank_nullity(5, (r, c, np.ones(2 * n, dtype=np.int64)), (n, n))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
