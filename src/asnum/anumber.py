@@ -103,7 +103,7 @@ def obstruction_matrix(curve: BasicCurve) -> FpMatrix:
     Columns and rows follow the curve's layout (BasicCurve: col_start,
     row_start).  Built as a stack of one by obstruction_stack.
     """
-    return FpMatrix(curve.p, obstruction_stack(curve, [curve.f.coeffs])[0])
+    return FpMatrix._of_residues(curve.p, obstruction_stack(curve, [curve.f.coeffs])[0])
 
 
 def obstruction_stack(curve: BasicCurve, coeffs) -> np.ndarray:
@@ -293,7 +293,7 @@ def cartier_matrix(curve: BasicCurve) -> FpMatrix:
             # reduce the binomial first: products stay below p^2 in int64
             block = math.comb(i, t) % p * block[: sizes[t]] % p
             mat[off[t] : off[t + 1], off[i] : off[i + 1]] = block
-    return FpMatrix(p, mat)
+    return FpMatrix._of_residues(p, mat)
 
 
 def a_number_oracle(curve: BasicCurve) -> int:

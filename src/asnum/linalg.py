@@ -3,7 +3,13 @@
 One forward Gaussian elimination with first-nonzero pivoting gives the rank
 as its pivot count.  The matrices in this package stay at most a few thousand
 square, so exactness and simplicity win over asymptotics.  All mod-p
-reductions are on integers, never floats.
+reductions are on integers, never floats.  The elimination delays them: it
+reduces only the column it searches for a pivot and the pivot row, and lets
+the rows below run negative, since each update lowers an entry by at most
+(p-1)^2.  It reduces the rest once every INT64_MAX // (p-1)^2 updates, a
+period fixed by p alone that no matrix within numutil.MAX_CELLS reaches for
+p < 2^21.  In numpy an int64 % costs about ten times a subtraction, and
+reducing every updated row was most of the elimination's work.
 
 A single matrix is ranked by one body, coords_rank_nullity, which takes the
 (row, col) coordinates and values of its nonzeros; rank_nullity hands it
@@ -30,7 +36,7 @@ _echelon.
 
 import numpy as np
 
-from .numutil import check_cells, check_int64_sum, is_prime
+from .numutil import INT64_MAX, check_cells, check_int64_sum, is_prime
 
 
 class FpMatrix:
@@ -46,6 +52,16 @@ class FpMatrix:
             raise ValueError("matrix entries must be two-dimensional")
         self.p = p
         self.a = a % p
+
+    @classmethod
+    def _of_residues(cls, p: int, a: np.ndarray) -> "FpMatrix":
+        """Wrap a 2-D int64 array of residues mod a prime p as is: no check, no copy.
+
+        For the package's own builds, whose output is already reduced.
+        """
+        m = cls.__new__(cls)
+        m.p, m.a = p, a
+        return m
 
     @property
     def rows(self) -> int:
@@ -68,8 +84,12 @@ class FpMatrix:
 
 
 def _check_headroom(p: int) -> None:
-    """Raise HeadroomError unless _echelon's products fit int64 at modulus p."""
-    # a scaled row and a row minus a multiple stay within (p-1)^2 in magnitude
+    """Raise HeadroomError unless _echelon stays exact in int64 at modulus p.
+
+    _echelon forms products of two residues, up to (p-1)^2, and reduces its
+    block once every INT64_MAX // (p-1)^2 updates; both need (p-1)^2 to fit
+    int64, that is a period of at least 1.
+    """
     check_int64_sum(1, (p - 1) ** 2, "elimination")
 
 
@@ -117,28 +137,44 @@ def _peel(r: np.ndarray, c: np.ndarray, shape) -> tuple[int, np.ndarray, np.ndar
 def _echelon(a: np.ndarray, p: int) -> int:
     """Rank of ``a`` mod p: the pivot count of a forward elimination on a copy.
 
-    Forward elimination only: clearing above the pivots as well would cost
-    the rank a full reduction it does not need.  The caller checks int64
-    headroom first (_check_headroom).
+    The entries of ``a`` are residues in [0, p).  Delayed reduction: at each
+    column only the pivot-search slice and the scaled pivot row are reduced
+    mod p.  The rows below take row -= factor * pivot_row with no % p, and
+    each such update lowers an entry by at most (p-1)^2, so the block still
+    to eliminate is reduced only once every INT64_MAX // (p-1)^2 updates
+    (the period), which keeps every entry within int64.  For p < 2^21 the
+    period exceeds 2^21, more updates than a matrix within numutil.MAX_CELLS
+    has pivots, so the block is never reduced; at the edge of _check_headroom
+    the period is 1.  The pivot row is never read again, so moving it up is
+    one copy of row r into its slot.  Forward elimination only: clearing
+    above the pivots as well would cost the rank a full reduction it does not
+    need.  The caller checks int64 headroom first (_check_headroom).
     """
     a = a.copy()
     rows, cols = a.shape
+    period = INT64_MAX // (p - 1) ** 2
+    pending = 0
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.flatnonzero(a[r:, c])
+        col = a[r:, c] % p
+        nz = np.flatnonzero(col)
         if nz.size == 0:
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r, c:] = (a[r, c:] * inv) % p
-        below = np.flatnonzero(a[r + 1 :, c])
-        if below.size:
-            sel = r + 1 + below
-            a[sel, c:] = (a[sel, c:] - np.outer(a[sel, c], a[r, c:])) % p
+        piv = int(nz[0])
+        prow = a[r + piv, c + 1 :] % p * pow(int(col[piv]), -1, p) % p
+        if piv:
+            # the pivot row is never read again; row r takes its slot, and
+            # needs no update there, being zero in column c
+            a[r + piv, c + 1 :] = a[r, c + 1 :]
+        sel = nz[1:]
+        if sel.size:
+            if pending == period:
+                a[r + 1 :, c + 1 :] %= p
+                pending = 0
+            a[r + sel, c + 1 :] -= np.outer(col[sel], prow)
+            pending += 1
         r += 1
     return r
 

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,7 +30,7 @@ from asnum.bounds import lower_bound_single
 from asnum.curve import BasicCurve
 from asnum.families import minimal_family
 from asnum.fppoly import FpPoly, parse_poly
-from asnum.linalg import FpMatrix, rank_nullity
+from asnum.linalg import FpMatrix, rank_nullity, stack_ranks
 from asnum.experiments import sample_poly
 from asnum.numutil import HeadroomError
 from reference import (
@@ -440,6 +441,28 @@ class TestANumbers:
                             assert image.degree <= c.reg_bound[t], (p, d, i, j, t)
                             want[: len(image.coeffs)] = image.coeffs
                         assert block == want, (p, d, str(c.f), i, j, t)
+
+    @pytest.mark.parametrize("p, d", [(3, 499), (7, 101)])
+    def test_rank_agrees_with_stack_ranks_on_structured_matrices(self, p, d):
+        # _echelon runs hundreds of updates on these without reducing the rows
+        # below the pivot; stack_ranks, a stack of one here, shares no code with it
+        c = random_curve(p, d, np.random.default_rng(1000 * p + d))
+        for m in (obstruction_matrix(c), cartier_matrix(c)):
+            rank = rank_nullity(m)[0]
+            assert rank > 100
+            assert rank == stack_ranks(m.a[None].copy(), p)[0]
+
+    def test_cartier_build_makes_no_second_full_copy(self):
+        # the build hands its reduced array to FpMatrix without a second full copy
+        c = random_curve(5, 499, np.random.default_rng(17))
+        cartier_matrix(c)
+        tracemalloc.start()
+        try:
+            m = cartier_matrix(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8 * m.a.nbytes
 
     def test_methods_agree_on_random_curves(self):
         rng = np.random.default_rng(37)

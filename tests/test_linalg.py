@@ -1,5 +1,7 @@
 """Exact F_p linear algebra: rank and nullity; the reference's kernel vectors."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from asnum.linalg import (
     rank_nullity,
     stack_ranks,
 )
-from asnum.numutil import HeadroomError
+from asnum.numutil import INT64_MAX, HeadroomError, is_prime
 from reference import kernel_vectors
 
 
@@ -104,6 +106,45 @@ def test_elimination_checks_int64_headroom():
         rank_nullity(m)
     with pytest.raises(HeadroomError, match="stacked elimination"):
         stack_ranks(m.a[None].copy(), p)
+
+
+# the largest prime with (p-1)^2 <= INT64_MAX, where _echelon reduces its block
+# after every update, and one whose period is 8 updates
+EDGE_P = 3037000493
+PERIOD_8_P = 1073741789
+
+
+def python_int_rank(m, p):
+    """Rank by the reference's Python-int elimination, which shares no code with linalg."""
+    return m.shape[1] - len(kernel_vectors(m, p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, PERIOD_8_P, EDGE_P])
+def test_echelon_matches_a_python_int_rank(p):
+    rng = np.random.default_rng(500 + p % 1000)
+    for rows, cols in ((1, 1), (5, 9), (9, 5), (24, 24), (30, 18)):
+        for inner in (1, 4, min(rows, cols), None):
+            if inner is None:
+                m = rng.integers(0, p, size=(rows, cols))
+            else:
+                # a product of random factors, in Python ints: rank at most inner
+                left = rng.integers(0, p, size=(rows, inner)).astype(object)
+                right = rng.integers(0, p, size=(inner, cols)).astype(object)
+                m = ((left @ right) % p).astype(np.int64)
+            before = m.copy()
+            assert _echelon(m, p) == python_int_rank(m, p), (rows, cols, inner)
+            assert np.array_equal(m, before)
+
+
+def test_headroom_edge_prime_is_ranked():
+    # (EDGE_P - 1)^2 fits int64, so it ranks; 2^32 + 15 does not
+    # (test_elimination_checks_int64_headroom)
+    edge = math.isqrt(INT64_MAX) + 1
+    assert is_prime(EDGE_P) and not any(map(is_prime, range(EDGE_P + 1, edge + 1)))
+    assert [INT64_MAX // (q - 1) ** 2 for q in (EDGE_P, PERIOD_8_P, edge + 1)] == [1, 8, 0]
+    m = np.array([[EDGE_P - 1, EDGE_P - 2, 5], [1, 2, EDGE_P - 5], [3, 3, 3]])
+    assert rank_nullity(FpMatrix(EDGE_P, m)) == (2, 1)
+    assert python_int_rank(m, EDGE_P) == 2
 
 
 def test_headroom_checked_before_the_peel():
