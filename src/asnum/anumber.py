@@ -17,7 +17,13 @@ The power table and the obstruction build take a stack of polynomials of one
 degree, one row each, since every matrix shape depends only on (p, d): the
 survey engine builds a whole chunk of covers in one pass, and a single curve
 is a stack of one.  Both obstruction builds place their columns and rows by
-the layout of BasicCurve (col_start, row_start and its column map).  The
+the layout of BasicCurve (col_start, row_start and its column map).  Only
+the live block of that layout can be nonzero for any f of degree d: the
+level-0 columns lift to themselves, and the correction at level t has degree
+at most live_bound[t], so the rows above it are zero.  The dense build makes
+only the live block, with its compressed rows up to that bound and the
+powers (-f)^e that its levels reach; the survey engine and a_number_fast
+rank it, and obstruction_matrix sets it in zeros.  The
 table is built with numpy in int64; the builds' int64 sums are checked for
 headroom, and each dense matrix's size against numutil.MAX_CELLS, before
 anything is built.  The tests check every column of the obstruction matrix
@@ -55,9 +61,10 @@ class InvariantViolation(AssertionError):
     """A structural invariant of the computation failed: a bug, not bad input."""
 
 
-def _neg_f_power_stack(p: int, coeffs) -> list[np.ndarray]:
-    """(N, e*(L-1) + 1) arrays of (-f)^e mod p for e = 0 .. p-1, one row per f.
+def _neg_f_power_stack(p: int, coeffs, top: int | None = None) -> list[np.ndarray]:
+    """(N, e*(L-1) + 1) arrays of (-f)^e mod p for e = 0 .. top, one row per f.
 
+    ``top`` defaults to p - 1; the obstruction build reads fewer powers.
     ``coeffs`` holds N coefficient rows of one length L.  Each product entry
     sums at most L terms below p^2, checked before anything is built; the
     same bound covers the products of a reduced binomial with a table entry
@@ -66,6 +73,7 @@ def _neg_f_power_stack(p: int, coeffs) -> list[np.ndarray]:
     there are fewer rows than such columns, as for a single large curve.
     """
     check_int64_sum(len(coeffs[0]), (p - 1) ** 2, "(-f)^e table")
+    top = p - 1 if top is None else top
     neg = -np.asarray(coeffs, dtype=np.int64) % p
     n, length = neg.shape
     cols = np.flatnonzero(neg.any(axis=0)).tolist()
@@ -73,12 +81,12 @@ def _neg_f_power_stack(p: int, coeffs) -> list[np.ndarray]:
         per_row = []
         for f in neg:
             row = [np.ones(1, dtype=np.int64)]
-            for _ in range(1, p):
+            for _ in range(top):
                 row.append(np.convolve(row[-1], f) % p)
             per_row.append(row)
         return [np.array(power) for power in zip(*per_row)]
     powers = [np.ones((n, 1), dtype=np.int64)]
-    for _ in range(1, p):
+    for _ in range(top):
         prev = powers[-1]
         nxt = np.zeros((n, prev.shape[1] + length - 1), dtype=np.int64)
         for k in cols:
@@ -87,63 +95,80 @@ def _neg_f_power_stack(p: int, coeffs) -> list[np.ndarray]:
     return powers
 
 
-def _compressed_rows(curve: BasicCurve) -> list[int]:
-    """Compressed rows per level (row u is exponent p*u + p - 1), once the
-    obstruction builds' int64 sums are checked for headroom."""
+def _check_build_headroom(curve: BasicCurve) -> None:
+    """Raise HeadroomError unless the obstruction builds' int64 sums fit.
+
+    Level t has at most (comp_bound[t] + 1) // p compressed rows (row u is
+    exponent p*u + p - 1), and each entry adds at most p - 1 sources of that
+    many products below p^2.
+    """
     p = curve.p
-    rows = [max((c - (p - 1)) // p + 1, 0) for c in curve.comp_bound]
-    # per entry, each source adds at most rows[t] <= rows[0] products below p^2
-    check_int64_sum((p - 1) * rows[0], (p - 1) ** 2, "obstruction build")
-    return rows
+    rows = max((curve.comp_bound[0] + 1) // p, 0)
+    check_int64_sum((p - 1) * rows, (p - 1) ** 2, "obstruction build")
 
 
 def obstruction_matrix(curve: BasicCurve) -> FpMatrix:
     """Matrix of the obstruction map over the kernel-tuple basis.
 
     Columns and rows follow the curve's layout (BasicCurve: col_start,
-    row_start).  Built as a stack of one by obstruction_stack.
+    row_start).  The live block is built as a stack of one by
+    obstruction_stack and set in zeros at its place (BasicCurve: live_start).
     """
-    return FpMatrix._of_residues(curve.p, obstruction_stack(curve, [curve.f.coeffs])[0])
+    _check_build_headroom(curve)
+    shape = (curve.dim_obstruction, curve.dim_domain)
+    check_cells(*shape, "obstruction matrix")
+    live = obstruction_stack(curve, [curve.f.coeffs])[0]
+    mat = np.zeros(shape, dtype=np.int64)
+    for t in range(curve.p):
+        lo, hi = curve.live_start[t : t + 2]
+        start = curve.row_start[t]
+        mat[start : start + hi - lo, curve.col_start[1] :] = live[lo:hi]
+    return FpMatrix._of_residues(curve.p, mat)
 
 
 def obstruction_stack(curve: BasicCurve, coeffs) -> np.ndarray:
-    """Obstruction matrices of the covers y^p - y = f, f the rows of ``coeffs``.
+    """Live blocks of the obstruction matrices of y^p - y = f, f the rows of ``coeffs``.
 
-    The rows are polynomials of degree curve.d over F_p; the matrix shape
-    depends only on (p, d), so ``curve`` supplies it and the result is an
-    (N, dim_obstruction, dim_domain) int64 stack, the same arithmetic for
-    every row; each matrix must stay within numutil.MAX_CELLS.  Below its
-    top level a reconstructed component lives on exponents = -1 (mod p)
-    only, so level t is stored compressed: row u stands for exponent
-    p*u + p - 1.  One downward sweep
-    t = p-2 .. 0 covers every basis column at once; at level t it touches
-    only the columns whose top level is above t.  A source level src adds
-    comb(src, t) * omega[src] * g with g = (-f)^(src-t) in two parts: the
-    unit monomials x^j of the columns topped at src are one gather
-    g[p*u + p - 1 - j], and the compressed components of the higher columns
-    are a shifted-add convolution with g[::p] alone, since only exponents
-    divisible by p move -1 (mod p) onto itself.  The obstruction rows of
+    The rows are polynomials of degree curve.d over F_p; the layout depends
+    only on (p, d), so ``curve`` supplies it and the result is an
+    (N, *curve.live_shape) int64 stack, the same arithmetic for every row;
+    each live block must stay within numutil.MAX_CELLS.  Outside the live
+    block (BasicCurve) the matrices are zero, so a rank of the stack is the
+    rank of the full matrix.  Below its top level a reconstructed component
+    lives on exponents = -1 (mod p) only, so level t is stored compressed:
+    row u stands for exponent p*u + p - 1, up to live_bound[t].  One
+    downward sweep t = top-1 .. 0, top the highest level with columns,
+    covers every basis column at once and reads (-f)^e for e <= top; at
+    level t it touches only the columns whose top level is above t.  A source
+    level src adds comb(src, t) * omega[src] * g with g = (-f)^(src-t) in
+    two parts: the unit monomials x^j of the columns topped at src are one
+    gather g[p*u + p - 1 - j], and the compressed components of the higher
+    columns are a shifted-add convolution with g[::p] alone, since only
+    exponents divisible by p move -1 (mod p) onto itself.  The live rows of
     level t are then a slice of its compressed block.
     """
     p = curve.p
-    rows = _compressed_rows(curve)
-    shape = (curve.dim_obstruction, curve.dim_domain)
+    _check_build_headroom(curve)
+    shape = curve.live_shape
     check_cells(*shape, "obstruction matrix")
-    negf = _neg_f_power_stack(p, coeffs)
+    col, live = curve.col_start, curve.live_start
+    # the levels with columns are 0 .. top; those above add nothing
+    top = max((i for i in range(p) if col[i + 1] > col[i]), default=0)
+    negf = _neg_f_power_stack(p, coeffs, top)
     n = negf[0].shape[0]
-    col, row = curve.col_start, curve.row_start
     # each level's column exponents, by BasicCurve's column map
     exps = [k + k // (p - 1) for k in map(np.arange, np.diff(col))]
-    mat = np.zeros((n, *shape), dtype=np.int64)
+    out = np.zeros((n, *shape), dtype=np.int64)
     # comp[t]: compressed level-t components of the columns col[t+1]: onwards
     comp = [np.zeros((n, 0, 0), dtype=np.int64)] * p
-    for t in range(p - 2, -1, -1):
+    for t in range(top - 1, -1, -1):
         base = col[t + 1]
-        acc = np.zeros((n, rows[t], col[p] - base), dtype=np.int64)
-        for src in range(t + 1, p):
+        rows = (curve.live_bound[t] + 1) // p
+        acc = np.zeros((n, rows, col[p] - base), dtype=np.int64)
+        for src in range(t + 1, top + 1):
             g = math.comb(src, t) % p * negf[src - t] % p
             if len(exps[src]):
-                idx = p * np.arange(rows[t])[:, None] + (p - 1) - exps[src]
+                idx = p * np.arange(rows)[:, None] + (p - 1) - exps[src]
                 ok = (idx >= 0) & (idx < g.shape[1])
                 block = np.take(g, np.where(ok, idx, 0), axis=1) * ok
                 acc[:, :, col[src] - base : col[src + 1] - base] += block
@@ -154,11 +179,13 @@ def obstruction_stack(curve: BasicCurve, coeffs) -> np.ndarray:
                 gp = g[:, ::p]
                 for k in np.flatnonzero(gp.any(axis=0)).tolist():
                     sub[:, k : k + m] += gp[:, k, None, None] * w
-        comp[t] = (-acc) % p
-        if curve.slot_count[t]:
+        np.negative(acc, out=acc)
+        acc %= p
+        comp[t] = acc
+        if live[t + 1] > live[t]:
             u = (curve.slot_start[t] - (p - 1)) // p
-            mat[:, row[t] : row[t + 1], base:] = comp[t][:, u : u + curve.slot_count[t]]
-    return mat
+            out[:, live[t] : live[t + 1], base - col[1] :] = acc[:, u : u + live[t + 1] - live[t]]
+    return out
 
 
 def _merge(keys: np.ndarray, values: np.ndarray, p: int, sign: int = 1):
@@ -199,7 +226,7 @@ def obstruction_coords(curve: BasicCurve) -> tuple[np.ndarray, np.ndarray, np.nd
 
     Densified into a (dim_obstruction, dim_domain) array, the coordinates
     give obstruction_matrix(curve); each appears once, with a nonzero
-    residue.  The sweep is obstruction_stack's, t = p-2 .. 0, on coordinate
+    residue.  The sweep is obstruction_stack's, over t = p-2 .. 0, on coordinate
     lists that follow only the nonzero terms x^e of comb(src, t) *
     (-f)^(src-t): a unit monomial x^j of a column topped at src lands at
     compressed row (j + e + 1)/p - 1 when j + e = -1 (mod p), and a
@@ -209,7 +236,7 @@ def obstruction_coords(curve: BasicCurve) -> tuple[np.ndarray, np.ndarray, np.nd
     dense build is faster.
     """
     p = curve.p
-    _compressed_rows(curve)  # the headroom check, before anything is built
+    _check_build_headroom(curve)
     negf = _neg_f_power_terms(p, curve.f.coeffs)
     ncols = curve.dim_domain
     col, row = curve.col_start, curve.row_start
@@ -257,8 +284,10 @@ def obstruction_coords(curve: BasicCurve) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 def a_number_fast(curve: BasicCurve) -> int:
-    """a-number as the nullity of the obstruction matrix."""
-    return rank_nullity(obstruction_matrix(curve))[1]
+    """a-number as the nullity of the obstruction matrix: dim_domain less the
+    rank of its live block, the only part that can be nonzero."""
+    live = obstruction_stack(curve, [curve.f.coeffs])[0]
+    return curve.dim_domain - rank_nullity(FpMatrix._of_residues(curve.p, live))[0]
 
 
 def cartier_matrix(curve: BasicCurve) -> FpMatrix:
@@ -308,9 +337,15 @@ def _certified_p_rank(m: FpMatrix) -> int:
     Raises InvariantViolation when an entry on or below the diagonal is
     nonzero.
     """
-    below = np.argwhere(np.tril(m.a))
+    nz = m.a != 0
+    if not nz.size:
+        return 0
+    first = nz.argmax(axis=1)
+    rows = np.arange(len(first))
+    # a row has a nonzero on or below the diagonal exactly when its first one is
+    below = np.flatnonzero(nz[rows, first] & (first <= rows))
     if below.size:
-        r, c = below[0]
+        r, c = below[0], first[below[0]]
         raise InvariantViolation(
             f"Cartier matrix entry ({r}, {c}) is nonzero on or below the diagonal"
         )

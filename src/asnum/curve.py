@@ -34,6 +34,20 @@ class BasicCurve:
     j = k + k // (p - 1), and x^j is column j - (j + 1) // p), and rows
     row_start[i] .. row_start[i+1] - 1 are its obstruction exponents,
     ascending.  dim_domain and dim_obstruction are the last offsets.
+
+    Only a block of that matrix can be nonzero, whatever f of degree d is.
+    The level-0 columns are never written: the lift of x^j dx at level 0 is
+    itself.  The correction a basis tuple picks up at level t (the part the
+    lift adds below its top level) has degree at most
+
+      live_bound[t] = max over levels s > t with columns of
+                      (top column exponent of s) + (s - t) * d,
+
+    or -1 when no level above t has columns, so the obstruction rows of
+    level t above live_bound[t] are zero.  The live block keeps the rest: the
+    first live_start[i+1] - live_start[i] obstruction rows of each level i
+    (full rows row_start[i] onwards), level-major, and the columns
+    col_start[1] onwards; live_shape is its shape.
     """
 
     p: int
@@ -46,6 +60,8 @@ class BasicCurve:
     genus: int
     col_start: tuple[int, ...]
     row_start: tuple[int, ...]
+    live_bound: tuple[int, ...]
+    live_start: tuple[int, ...]
 
     @property
     def dim_domain(self) -> int:
@@ -54,6 +70,10 @@ class BasicCurve:
     @property
     def dim_obstruction(self) -> int:
         return self.row_start[-1]
+
+    @property
+    def live_shape(self) -> tuple[int, int]:
+        return self.live_start[-1], self.dim_domain - self.col_start[1]
 
     @classmethod
     def from_poly(cls, p: int, f: FpPoly) -> "BasicCurve":
@@ -76,7 +96,20 @@ class BasicCurve:
         counts = [max((c - s) // p + 1, 0) for s, c in zip(first, comp)]
         # level i offers the b + 1 exponents 0 .. b = reg_bound[i] less the
         # (b + 1) // p of them that are -1 (mod p)
-        cols = (max(b + 1 - (b + 1) // p, 0) for b in reg)
+        cols = [max(b + 1 - (b + 1) // p, 0) for b in reg]
+        # live_bound[t] = d + max(top column exponent of level t + 1,
+        # live_bound[t + 1]), over what exists; -1 when neither does
+        live = [-1] * p
+        for t in range(p - 2, -1, -1):
+            k = cols[t + 1] - 1
+            top = k + k // (p - 1) if k >= 0 else -1
+            higher = max(top, live[t + 1])
+            live[t] = higher + d if higher >= 0 else -1
+        # the live obstruction exponents of level t run up to live_bound[t]
+        live_rows = (
+            max(min((b - s) // p + 1, n), 0)
+            for b, s, n in zip(live, first, counts)
+        )
         return cls(
             p=p,
             f=g,
@@ -88,4 +121,6 @@ class BasicCurve:
             genus=(p - 1) * (d - 1) // 2,
             col_start=tuple(accumulate(cols, initial=0)),
             row_start=tuple(accumulate(counts, initial=0)),
+            live_bound=tuple(live),
+            live_start=tuple(accumulate(live_rows, initial=0)),
         )

@@ -18,9 +18,11 @@ The survey engine, _a_numbers, works on chunks: (N, d+1) arrays of
 coefficient rows, drawn or enumerated in index order.  The obstruction
 matrix has a shape fixed by (p, d), so a chunk is checked for normalization
 with one vectorized test, built as one obstruction stack and ranked by one
-stacked elimination; no FpPoly or BasicCurve is made per sample.  A chunk
-holds at most CHUNK_ROWS samples and CHUNK_CELLS matrix cells, so memory
-stays flat for any n, and chunk boundaries change no result.
+stacked elimination; no FpPoly or BasicCurve is made per sample.  The stack
+holds only the live blocks (BasicCurve), the part of each matrix that can be
+nonzero, so a = dim_domain - rank of the live block.  A chunk holds at most
+CHUNK_ROWS samples and CHUNK_CELLS live-block cells, so memory stays flat
+for any n, and chunk boundaries change no result.
 """
 
 import json
@@ -48,11 +50,14 @@ _FIELDS = ("p", "d", "n_samples", "seed")
 DEFAULT_EXHAUSTIVE_CAP = 10**6
 
 # An engine chunk holds at most CHUNK_ROWS samples and CHUNK_CELLS
-# obstruction-matrix cells (8 MB of int64 per stack).  On 12x12 and 18x18
-# matrices 128 samples amortize the per-chunk numpy calls, and more only
-# raised the peak RSS; matrices of a few hundred rows gain from chunks of
-# several samples up to the cell cap.
-CHUNK_ROWS = 128
+# live-block cells (8 MB of int64 per stack).  The per-chunk numpy calls
+# dominate on the small live blocks of (3, 17) and (5, 11), 4x4 and 11x11.
+# Median per sample over 7 interleaved surveys of 8192 samples, on a shared
+# 2-core VM, at 128 / 512 / 1024 / 2048 samples per chunk: (3, 17) 6.5 /
+# 4.2 / 3.4 / 3.4 us, (5, 11) 15.7 / 10.4 / 12.0 / 12.4 us; a chunk of
+# 1024 at (5, 11) holds 1 MB.  Matrices of a few hundred rows gain from
+# chunks of several samples up to the cell cap.
+CHUNK_ROWS = 1024
 CHUNK_CELLS = 2**20
 
 # The seeded draw (asnum._seeded) costs mostly numpy calls made once per
@@ -234,9 +239,10 @@ def _shape(p: int, d: int) -> BasicCurve:
 
 
 def _chunk_rows(p: int, d: int) -> int:
-    """Samples per engine chunk: within CHUNK_ROWS and CHUNK_CELLS, at least one."""
-    shape = _shape(p, d)
-    cells = max(1, shape.dim_obstruction * shape.dim_domain)
+    """Samples per engine chunk: within CHUNK_ROWS and CHUNK_CELLS of the
+    live blocks, at least one."""
+    rows, cols = _shape(p, d).live_shape
+    cells = max(1, rows * cols)
     return max(1, min(CHUNK_ROWS, CHUNK_CELLS // cells))
 
 

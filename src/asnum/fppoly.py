@@ -194,8 +194,10 @@ def normalize_artin_schreier(f: FpPoly) -> FpPoly:
     """
     p = f.p
     coeffs = list(f.coeffs)
-    for e in range(len(coeffs) - 1, p - 1, -1):
-        if e % p == 0 and coeffs[e]:
+    top = len(coeffs) - 1
+    # the multiples of p from the top down to p
+    for e in range(top - top % p, p - 1, -p):
+        if coeffs[e]:
             coeffs[e // p] = (coeffs[e // p] + coeffs[e]) % p
             coeffs[e] = 0
     if coeffs:

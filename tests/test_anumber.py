@@ -23,6 +23,7 @@ from asnum.anumber import (
     cartier_matrix,
     obstruction_coords,
     obstruction_matrix,
+    obstruction_stack,
     p_rank,
     report,
 )
@@ -256,6 +257,57 @@ class TestObstructionMap:
         assert obstruction_matrix(c).a.shape == (0, 0)
         assert a_number_fast(c) == 0
         assert_coords_match_dense(c)
+
+    def test_reference_lift_is_zero_outside_the_live_rows(self):
+        # the live rows come from a degree bound on the lift; the reference
+        # lifts random tuples in FpPoly arithmetic, sharing no code with it
+        rng = np.random.default_rng(71)
+        for p in (2, 3, 5, 7, 11, 13):
+            for d in (1, 2, p - 1, p + 1, 2 * p + 3, 3 * p - 1, 40):
+                if d % p == 0:
+                    continue
+                c = random_curve(p, d, rng)
+                dead = np.ones(c.dim_obstruction, dtype=bool)
+                for i in range(p):
+                    lo = c.row_start[i]
+                    dead[lo : lo + c.live_start[i + 1] - c.live_start[i]] = False
+                # a tuple on level 0 alone lifts to itself: no obstruction
+                coords = np.zeros(c.dim_domain, dtype=np.int64)
+                coords[: c.col_start[1]] = rng.integers(0, p, size=c.col_start[1])
+                assert not any(obstruction_vector(c, from_coords(c, coords)))
+                for _ in range(2):
+                    vec = np.array(obstruction_vector(c, random_kernel_tuple(c, rng)))
+                    assert not vec[dead].any(), (p, d, str(c.f))
+
+    def test_live_stack_ranks_match_the_full_matrices(self):
+        # 24 rows take the stack's shifted-add power table, a single curve
+        # takes np.convolve
+        rng = np.random.default_rng(73)
+        for p, d in ((2, 13), (3, 17), (5, 11), (7, 30), (11, 25), (13, 17)):
+            curves = [random_curve(p, d, rng) for _ in range(24)]
+            c = curves[0]
+            live = obstruction_stack(c, [curve.f.coeffs for curve in curves])
+            assert live.shape == (24, *c.live_shape)
+            lengths = np.diff(c.live_start)
+            rows = np.concatenate([np.arange(s, s + k) for s, k in zip(c.row_start, lengths)])
+            for c, block, rank in zip(curves, live, stack_ranks(live.copy(), p)):
+                full = obstruction_matrix(c)
+                assert rank == rank_nullity(full)[0], (p, d, str(c.f))
+                assert c.dim_domain - rank == a_number_fast(c)
+                assert np.array_equal(full.a[rows, c.col_start[1] :], block)
+
+    def test_build_peak_stays_below_twice_the_matrix(self):
+        # the build negates and reduces its accumulator in place and makes
+        # only the live block, which is set in the zeros of the full matrix
+        c = random_curve(5, 499, np.random.default_rng(17))
+        obstruction_matrix(c)
+        tracemalloc.start()
+        try:
+            m = obstruction_matrix(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8 * m.a.nbytes
 
 
 def densified(curve):
@@ -562,6 +614,20 @@ class TestPRankCertificate:
     def test_rejects_entry_on_or_below_diagonal(self, entries):
         with pytest.raises(InvariantViolation):
             _certified_p_rank(FpMatrix(5, entries))
+
+    def test_reports_the_first_entry_on_or_below_the_diagonal(self):
+        # np.argwhere(np.tril(a))[0] is the reference: the first such entry
+        # in row-major order
+        rng = np.random.default_rng(61)
+        for n in (1, 2, 5, 17, 40):
+            for _ in range(20):
+                a = np.triu(rng.integers(0, 7, size=(n, n)), 1)
+                for _ in range(int(rng.integers(1, 4))):
+                    r = int(rng.integers(0, n))
+                    a[r, int(rng.integers(0, r + 1))] = int(rng.integers(1, 7))
+                r, c = np.argwhere(np.tril(a))[0]
+                with pytest.raises(InvariantViolation, match=rf"entry \({r}, {c}\) "):
+                    _certified_p_rank(FpMatrix(7, a))
 
     def test_p_rank_and_report_raise_on_bad_cartier_matrix(self, monkeypatch):
         # the transpose keeps the rank, so only the certificate can object

@@ -77,6 +77,39 @@ def test_dim_domain_closed_form_matches_enumeration():
             assert c.dim_obstruction == sum(c.slot_count), (p, d)
 
 
+def test_live_layout_matches_enumeration():
+    # the degree bound from the reference basis, one (level, exponent) at a
+    # time: a column x^j of level i adds (-f)^(i-t) x^j, of degree
+    # j + (i - t) d, to level t
+    for p in (2, 3, 5, 7, 11, 13):
+        for d in range(1, 101):
+            if d % p == 0:
+                continue
+            c = make(p, f"x^{d}")
+            basis = domain_basis(c)
+            bound = tuple(
+                max((j + (i - t) * d for i, j in basis if i > t), default=-1)
+                for t in range(p)
+            )
+            assert c.live_bound == bound, (p, d)
+            live = [
+                sum(1 for u in range(c.slot_count[t]) if c.slot_start[t] + u * p <= bound[t])
+                for t in range(p)
+            ]
+            assert c.live_start == tuple(sum(live[:i]) for i in range(p + 1)), (p, d)
+            assert c.live_shape == (
+                sum(live),
+                sum(1 for i, _ in basis if i > 0),
+            ), (p, d)
+
+
+def test_live_layout_d11():
+    c = make(5, "x^11")
+    assert c.live_bound == (34, 23, 12, -1, -1)
+    assert c.live_start == (0, 6, 9, 11, 11, 11)
+    assert c.live_shape == (11, 11)
+
+
 def test_top_level_always_empty():
     for p in (2, 3, 5, 7):
         for d in (1, 2, 4, 9, 23):

@@ -344,8 +344,8 @@ class TestEngine:
         )
 
     def test_chunks_respect_the_cell_cap(self, monkeypatch):
-        shape = _shape(3, 17)
-        cells = shape.dim_obstruction * shape.dim_domain
+        rows, cols = _shape(3, 17).live_shape
+        cells = rows * cols
         monkeypatch.setattr(asnum.experiments, "CHUNK_CELLS", 5 * cells + 1)
         assert _chunk_rows(3, 17) == 5
         assert distribution(3, 17, 300, 4).counts == {8: 197, 9: 94, 10: 9}

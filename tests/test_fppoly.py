@@ -187,6 +187,24 @@ class TestNormalize:
         with pytest.raises(SplitCoverError):
             normalize_artin_schreier(h ** 3 - h)
 
+    @given(random_poly(primes=(2, 3, 5, 7, 13), max_len=60))
+    def test_matches_an_exponent_by_exponent_walk(self, f):
+        # the reference visits every exponent from the top down to p
+        p = f.p
+        coeffs = list(f.coeffs)
+        for e in range(len(coeffs) - 1, p - 1, -1):
+            if e % p == 0 and coeffs[e]:
+                coeffs[e // p] = (coeffs[e // p] + coeffs[e]) % p
+                coeffs[e] = 0
+        if coeffs:
+            coeffs[0] = 0
+        want = FpPoly(p, coeffs)
+        if want.is_zero:
+            with pytest.raises(SplitCoverError):
+                normalize_artin_schreier(f)
+        else:
+            assert normalize_artin_schreier(f) == want
+
     @given(random_poly())
     def test_idempotent_and_degree_preserving(self, f):
         try:
