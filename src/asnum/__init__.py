@@ -18,13 +18,9 @@ from .anumber import (
 )
 from .bounds import (
     RamificationData,
-    block_count,
     level_sum,
     lower_bound,
-    lower_bound_p3,
-    lower_bound_p5_5n1,
     lower_bound_single,
-    threshold,
 )
 from .curve import BasicCurve
 from .experiments import (
@@ -39,7 +35,6 @@ from .experiments import (
 )
 from .families import (
     FamilyCheck,
-    family_p5_mod5,
     minimal_family,
     verify_family,
 )
@@ -71,14 +66,10 @@ __all__ = [
     "SplitCoverError",
     "a_number_fast",
     "a_number_oracle",
-    "block_count",
     "cartier_matrix",
     "distribution",
-    "family_p5_mod5",
     "level_sum",
     "lower_bound",
-    "lower_bound_p3",
-    "lower_bound_p5_5n1",
     "lower_bound_single",
     "min_a_exhaustive",
     "min_a_random",
@@ -91,6 +82,5 @@ __all__ = [
     "report",
     "sample_poly",
     "sample_space_size",
-    "threshold",
     "verify_family",
 ]

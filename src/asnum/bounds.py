@@ -8,9 +8,8 @@ rounding near integer boundaries.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .numutil import ceil_div, check_degree, is_prime
+from .numutil import check_degree, is_prime
 
 
 @dataclass(frozen=True)
@@ -37,34 +36,12 @@ class RamificationData:
                 raise ValueError(f"ramification jump {d} is divisible by p = {self.p}")
 
 
-def _check_pair(p: int, d: int, i: int, j: int) -> None:
+def _check_level(p: int, d: int, j: int) -> None:
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     check_degree(p, d)
     if not 0 <= j <= p - 1:
         raise ValueError(f"j = {j} out of range [0, {p - 1}]")
-    if not j <= i <= p - 1:
-        raise ValueError(f"i = {i} out of range [{j}, {p - 1}]")
-
-
-def threshold(p: int, d: int, i: int, j: int) -> Fraction:
-    """The open lower endpoint i*d - (1 - 1/p)*d*j of the counting window.
-
-    Exact rational; its denominator divides p.
-    """
-    _check_pair(p, d, i, j)
-    return Fraction(i * d * p - d * j * (p - 1), p)
-
-
-def _block_count(p: int, d: int, i: int, j: int) -> int:
-    # floor(threshold/p) on integers: threshold*p = i*d*p - d*j*(p-1)
-    return i * d // p - (i * d * p - d * j * (p - 1)) // (p * p)
-
-
-def block_count(p: int, d: int, i: int, j: int) -> int:
-    """Number of multiples of p in the window (threshold(p,d,i,j), i*d]."""
-    _check_pair(p, d, i, j)
-    return _block_count(p, d, i, j)
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -90,14 +67,14 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
 
 
 def level_sum(p: int, d: int, j: int) -> int:
-    """Sum of block_count(p, d, i, j) over i = j .. p-1, validated once.
+    """Multiples of p in the windows (i*d - (1 - 1/p)*d*j, i*d], i = j .. p-1, summed.
 
-    A valid (p, d, j) makes every (p, d, i, j) with j <= i <= p-1 valid, so
-    the summands skip the check.  With i = j + k each summand is
+    Raises ValueError unless p is prime, d is a valid degree for p and
+    0 <= j <= p-1.  With i = j + k the count in window i is
     floor((d*k + d*j)/p) - floor((d*p*k + d*j)/p^2), so the sum is two floor
     sums over k = 0 .. p-1-j, evaluated in O(log p) steps instead of p.
     """
-    _check_pair(p, d, j, j)
+    _check_level(p, d, j)
     n = p - j
     return _floor_sum(n, p, d, d * j) - _floor_sum(n, p * p, d * p, d * j)
 
@@ -115,15 +92,3 @@ def lower_bound(data: RamificationData) -> int:
     """The a-number lower bound, additive over the branch points."""
     return sum(lower_bound_single(data.p, d) for d in data.invariants)
 
-
-def lower_bound_p3(d: int) -> int:
-    """Closed form of the p = 3 bound: ceil(2d/3)+ceil(d/3)-ceil(d/9)-ceil(4d/9)."""
-    check_degree(3, d)
-    return ceil_div(2 * d, 3) + ceil_div(d, 3) - ceil_div(d, 9) - ceil_div(4 * d, 9)
-
-
-def lower_bound_p5_5n1(n: int) -> int:
-    """Closed form of the p = 5 bound for degree d = 5n + 1."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return 9 * n - (2 * n // 5 + (7 * n + 1) // 5 + (12 * n + 2) // 5)

@@ -10,19 +10,21 @@ Every sample gets its own generator seeded from (master seed, sample index),
 so tallies are bit-for-bit reproducible and independent of how samples are
 distributed over worker processes.  A survey does not build those
 generators one by one: asnum._seeded mirrors numpy's SeedSequence, PCG64
-and 32-bit Lemire algorithms in numpy integer arithmetic and draws a block
-of samples at once, bit for bit.  The per-sample generator (_rng_for and
-_draw) is its reference, and draws the few rows the batch cannot.
+and 32-bit Lemire algorithms in numpy integer arithmetic and draws a whole
+chunk of samples at once, bit for bit.  The per-sample generator (_rng_for
+and _draw) is its reference, and draws the few rows the batch cannot.
 
 The survey engine, _a_numbers, works on chunks: (N, d+1) arrays of
 coefficient rows, drawn or enumerated in index order.  The obstruction
-matrix has a shape fixed by (p, d), so a chunk is checked for normalization
-with one vectorized test, built as one obstruction stack and ranked by one
-stacked elimination; no FpPoly or BasicCurve is made per sample.  The stack
-holds only the live blocks (BasicCurve), the part of each matrix that can be
-nonzero, so a = dim_domain - rank of the live block.  A chunk holds at most
-CHUNK_ROWS samples and CHUNK_CELLS live-block cells, so memory stays flat
-for any n, and chunk boundaries change no result.
+matrix has a layout fixed by (p, d), which the BasicCurve of x^d carries; a
+survey builds that curve once (once per worker job) and passes it on.  So a
+chunk is checked for normalization with one vectorized test, built as one
+obstruction stack and ranked by one stacked elimination; no FpPoly or
+BasicCurve is made per sample.  The stack holds only the live blocks
+(BasicCurve), the part of each matrix that can be nonzero, so
+a = dim_domain - rank of the live block.  A chunk holds at most CHUNK_ROWS
+samples and CHUNK_CELLS live-block cells, so memory stays flat for any n,
+and chunk boundaries change no result.
 """
 
 import json
@@ -56,15 +58,12 @@ DEFAULT_EXHAUSTIVE_CAP = 10**6
 # 2-core VM, at 128 / 512 / 1024 / 2048 samples per chunk: (3, 17) 6.5 /
 # 4.2 / 3.4 / 3.4 us, (5, 11) 15.7 / 10.4 / 12.0 / 12.4 us; a chunk of
 # 1024 at (5, 11) holds 1 MB.  Matrices of a few hundred rows gain from
-# chunks of several samples up to the cell cap.
+# chunks of several samples up to the cell cap.  The seeded draw
+# (asnum._seeded), one per chunk, costs mostly numpy calls made once per
+# draw: 2.8 us per sample in draws of 128 samples at (3, 17), 1.0 us from
+# about 600 on.
 CHUNK_ROWS = 1024
 CHUNK_CELLS = 2**20
-
-# The seeded draw (asnum._seeded) costs mostly numpy calls made once per
-# draw: 2.8 us per sample in blocks of 128 samples at (3, 17), 1.0 us from
-# about 600 on.  So samples are drawn in blocks of whole chunks holding at
-# most DRAW_CELLS coefficients (128 KB of int64).
-DRAW_CELLS = 2**14
 
 
 class SearchSpaceError(ValueError):
@@ -238,10 +237,10 @@ def _shape(p: int, d: int) -> BasicCurve:
     return BasicCurve.from_poly(p, FpPoly.monomial(p, d))
 
 
-def _chunk_rows(p: int, d: int) -> int:
-    """Samples per engine chunk: within CHUNK_ROWS and CHUNK_CELLS of the
-    live blocks, at least one."""
-    rows, cols = _shape(p, d).live_shape
+def _chunk_rows(shape: BasicCurve) -> int:
+    """Samples per engine chunk at the shape's (p, d): within CHUNK_ROWS and
+    CHUNK_CELLS of the live blocks, at least one."""
+    rows, cols = shape.live_shape
     cells = max(1, rows * cols)
     return max(1, min(CHUNK_ROWS, CHUNK_CELLS // cells))
 
@@ -262,29 +261,24 @@ def _seeded_rows(p: int, d: int, seed: int, lo: int, hi: int) -> np.ndarray:
     return rows
 
 
-def _random_chunks(p: int, d: int, seed: int, lo: int, hi: int):
-    """The seeded samples with indices lo <= index < hi, in index order, as chunks.
-
-    They are drawn in blocks of whole chunks holding at most DRAW_CELLS
-    coefficients, or of one chunk when a chunk holds more.
-    """
-    size = _chunk_rows(p, d)
-    block = size * max(1, DRAW_CELLS // (size * (d + 1)))
-    for start in range(lo, hi, block):
-        rows = _seeded_rows(p, d, seed, start, min(start + block, hi))
-        for k in range(0, len(rows), size):
-            yield rows[k : k + size]
+def _random_chunks(shape: BasicCurve, seed: int, lo: int, hi: int):
+    """The seeded samples with indices lo <= index < hi, in index order, as
+    chunks, each one batched draw."""
+    size = _chunk_rows(shape)
+    for start in range(lo, hi, size):
+        yield _seeded_rows(shape.p, shape.d, seed, start, min(start + size, hi))
 
 
-def _all_chunks(p: int, d: int):
+def _all_chunks(shape: BasicCurve):
     """Every normalized degree-d polynomial as chunks, in enumeration order.
 
     Candidate k is the mixed-radix number (leading coefficient - 1, then the
     free slots in increasing exponent order), the last slot varying fastest.
     """
+    p, d = shape.p, shape.d
     free = free_exponents(p, d)
     total = sample_space_size(p, d)
-    size = _chunk_rows(p, d)
+    size = _chunk_rows(shape)
     for start in range(0, total, size):
         k = np.arange(start, min(start + size, total), dtype=np.int64)
         rows = np.zeros((len(k), d + 1), dtype=np.int64)
@@ -294,15 +288,15 @@ def _all_chunks(p: int, d: int):
         yield rows
 
 
-def _a_numbers(p: int, d: int, chunks):
+def _a_numbers(shape: BasicCurve, chunks):
     """The survey engine: (rows, a-numbers) for each chunk of coefficient rows.
 
     Each chunk is an (N, d+1) int64 array of normalized polynomials f of
-    degree d; its a-numbers are those of the covers y^p - y = f, as an
-    int64 array of length N.  Raises ValueError on a row that is not
-    normalized with degree d.
+    the shape's degree d; its a-numbers are those of the covers
+    y^p - y = f, as an int64 array of length N.  Raises ValueError on a row
+    that is not normalized with degree d.
     """
-    shape = _shape(p, d)
+    p, d = shape.p, shape.d
     for rows in chunks:
         if (
             rows.shape[1] != d + 1
@@ -314,12 +308,17 @@ def _a_numbers(p: int, d: int, chunks):
         yield rows, shape.dim_domain - stack_ranks(obstruction_stack(shape, rows), p)
 
 
-def _tally_range(args) -> Counter:
-    p, d, seed, lo, hi = args
+def _tally(shape: BasicCurve, seed: int, lo: int, hi: int) -> Counter:
     counts = Counter()
-    for _, a in _a_numbers(p, d, _random_chunks(p, d, seed, lo, hi)):
+    for _, a in _a_numbers(shape, _random_chunks(shape, seed, lo, hi)):
         counts.update(a.tolist())
     return counts
+
+
+def _tally_range(args) -> Counter:
+    """A worker job: the tally of samples lo .. hi-1, on its own shape."""
+    p, d, seed, lo, hi = args
+    return _tally(_shape(p, d), seed, lo, hi)
 
 
 def distribution(
@@ -333,10 +332,11 @@ def distribution(
     """
     _check_request(p, d, n_samples, seed)
     start = time.perf_counter()
-    size = _chunk_rows(p, d)
+    shape = _shape(p, d)
+    size = _chunk_rows(shape)
     threads = min(threads, os.cpu_count() or 1, ceil_div(n_samples, size))
     if threads <= 1:
-        counts = _tally_range((p, d, seed, 0, n_samples))
+        counts = _tally(shape, seed, 0, n_samples)
     else:
         # about 4 jobs per worker, each a whole number of chunks
         per_job = size * ceil_div(n_samples, 4 * threads * size)
@@ -371,12 +371,13 @@ class SearchResult:
     candidates_tested: int
 
 
-def _search(p: int, d: int, chunks, exhaustive: bool) -> SearchResult:
+def _search(shape: BasicCurve, chunks, exhaustive: bool) -> SearchResult:
     """Minimum a-number over the candidates; the first to attain it is the witness."""
+    p, d = shape.p, shape.d
     best_a = None
     witness = None
     tested = 0
-    for rows, a in _a_numbers(p, d, chunks):
+    for rows, a in _a_numbers(shape, chunks):
         tested += len(a)
         first = int(a.argmin())
         if best_a is None or a[first] < best_a:
@@ -398,10 +399,12 @@ def min_a_exhaustive(p: int, d: int, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> Searc
             f"search space has {total} candidates, above the cap of {cap}; "
             f"use min_a_random instead"
         )
-    return _search(p, d, _all_chunks(p, d), exhaustive=True)
+    shape = _shape(p, d)
+    return _search(shape, _all_chunks(shape), exhaustive=True)
 
 
 def min_a_random(p: int, d: int, n_samples: int, seed: int) -> SearchResult:
     """Minimum a-number over n_samples random covers: an upper bound for the true minimum."""
     _check_request(p, d, n_samples, seed)
-    return _search(p, d, _random_chunks(p, d, seed, 0, n_samples), exhaustive=False)
+    shape = _shape(p, d)
+    return _search(shape, _random_chunks(shape, seed, 0, n_samples), exhaustive=False)

@@ -3,11 +3,10 @@
 ``minimal_family(p, d)`` returns a polynomial f of degree d such that
 y^p - y = f has the minimal a-number L(d).  Writing d = p^2 m + delta, almost
 every member is the table row for delta: x^d plus one unit monomial
-x^(slope m + shift) per (slope, shift) term.  A few small degrees take a
-fixed polynomial instead, most of them because a row exponent would leave
-[1, d).  For p = 5 the degree 16 keeps the trinomial keyed on d mod 5
-(``family_p5_mod5``), which covers every d but whose exponents have floors,
-so it is no table row.
+x^(slope m + shift) per (slope, shift) term.  A few degrees take a fixed
+polynomial instead, most of them small degrees where a row exponent would
+leave [1, d).  For p = 5 the degree 16 is fixed at x^16 + x^14 + x^9, the
+member of an older trinomial family keyed on d mod 5 that it has always had.
 
 The tables are literal data found by machine search, not re-derived from
 formulas, and a claim covers only the degrees a sweep verified: every member
@@ -112,16 +111,25 @@ ROWS = {
     },
 }
 
-# p -> {d: exponents of a unit-coefficient member}: the small degrees that
-# take a fixed polynomial instead of their row
-SMALL_D = {
-    3: {1: (1,)},
-    5: {1: (1,), 2: (2,), 3: (3, 2), 4: (4,)},
-    7: {1: (1,), 3: (3,), 5: (5, 3), 18: (18, 13), 32: (32, 23, 9)},
+# p -> {d: (strategy, exponents of a unit-coefficient member)}: the degrees
+# that take a fixed polynomial instead of their row
+FIXED = {
+    3: {1: ("small_d", (1,))},
+    5: {
+        1: ("small_d", (1,)),
+        2: ("small_d", (2,)),
+        3: ("small_d", (3, 2)),
+        4: ("small_d", (4,)),
+        16: ("p5_trinomial5", (16, 14, 9)),
+    },
+    7: {
+        1: ("small_d", (1,)),
+        3: ("small_d", (3,)),
+        5: ("small_d", (5, 3)),
+        18: ("small_d", (18, 13)),
+        32: ("small_d", (32, 23, 9)),
+    },
 }
-
-# p = 5 degrees whose row applies but which stay on the mod-5 family
-MOD5_DEGREES = {16}
 
 
 def _unit_poly(p: int, exponents) -> FpPoly:
@@ -142,41 +150,14 @@ def _row(p: int, d: int, terms) -> FpPoly | None:
     return _unit_poly(p, [d, *lower])
 
 
-def family_p5_mod5(d: int) -> FpPoly:
-    """The trinomial of degree d over F_5 keyed on d mod 5.
-
-    Defined for every d coprime to 5: degrees 1 through 4 use their fixed
-    small-degree members (x, x^2, x^3 + x^2, x^4), and larger degrees use one
-    trinomial per residue class.  For small quotients n two of the three
-    exponents can coincide, in which case their coefficients add.
-    """
-    check_degree(5, d)
-    if d < 5:
-        return _unit_poly(5, SMALL_D[5][d])
-    n, c = divmod(d, 5)
-    if c == 1:
-        mid = 5 * n - 1
-        low = 5 * n - 5 * (2 * (n + 2) // 5) + 4
-    elif c == 2:
-        mid = 5 * n + 1
-        low = 5 * n - 5 * (2 * (n - 1) // 5) - 1
-    elif c == 3:
-        mid = 5 * n + 2
-        low = 5 * n - 5 * (2 * (n - 1) // 5) - 1
-    else:
-        mid = 5 * n + 2
-        low = 5 * n - 5 * (2 * (n + 1) // 5) + 3
-    return _unit_poly(5, (d, mid, low))
-
-
 def minimal_family(p: int, d: int) -> tuple[FpPoly, str]:
     """A degree-d polynomial attaining the bound, with the strategy that chose it.
 
-    Strategies: "small_d" for the fixed small-degree members; the table rows
-    "p3", "p5_binomial", "p5_trinomial25", "p7_binomial", "p7_trinomial28",
-    "p7_trinomial35" and "p7_trinomial49" (named by the slope of their middle
-    term); and "p5_trinomial5" for the mod-5 family.  Raises ValueError for a
-    prime without tables and for d not coprime to p.
+    Strategies: the table rows "p3", "p5_binomial", "p5_trinomial25",
+    "p7_binomial", "p7_trinomial28", "p7_trinomial35" and "p7_trinomial49"
+    (named by the slope of their middle term); for the fixed members,
+    "small_d" and, at p = 5, d = 16, "p5_trinomial5".  Raises ValueError for
+    a prime without tables and for d not coprime to p.
     """
     if p not in ROWS:
         raise ValueError(
@@ -184,16 +165,15 @@ def minimal_family(p: int, d: int) -> tuple[FpPoly, str]:
             f"{{{', '.join(map(str, sorted(ROWS)))}}}"
         )
     check_degree(p, d)
-    exponents = SMALL_D[p].get(d)
-    if exponents is not None:
-        return _unit_poly(p, exponents), "small_d"
+    fixed = FIXED[p].get(d)
+    if fixed is not None:
+        strategy, exponents = fixed
+        return _unit_poly(p, exponents), strategy
     strategy, terms = ROWS[p][d % (p * p)]
-    f = None if p == 5 and d in MOD5_DEGREES else _row(p, d, terms)
-    if f is not None:
-        return f, strategy
-    if p == 5:
-        return family_p5_mod5(d), "p5_trinomial5"
-    raise ValueError(f"no table row applies to d = {d} for p = {p}")
+    f = _row(p, d, terms)
+    if f is None:
+        raise ValueError(f"no table row applies to d = {d} for p = {p}")
+    return f, strategy
 
 
 @dataclass(frozen=True)

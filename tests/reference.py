@@ -1,17 +1,25 @@
-"""Column reference for the fast obstruction build: one kernel tuple lifted at a time.
+"""Independent references the tests check the package against.
 
-A line differential h dx is held as its polynomial h.  A kernel tuple is a
-tuple of FpPoly, one per level i, each killed by the Cartier operator and of
-degree at most reg_bound[i]; a differential on the cover is the tuple of the
-h in its components h y^i dx.  reconstruct builds its own powers (-f)^e with
-exact FpPoly products, so it shares no arithmetic with the int64 table of
-asnum.anumber, and kernel_vectors eliminates in Python ints, sharing no code
-with asnum.linalg.  domain_basis enumerates the kernel-tuple basis one
-exponent at a time, so the column checks share no column order with the
-builds either.
+Column reference for the fast obstruction build, one kernel tuple lifted at
+a time.  A line differential h dx is held as its polynomial h.  A kernel tuple
+is a tuple of FpPoly, one per level i, each killed by the Cartier operator
+and of degree at most reg_bound[i]; a differential on the cover is the tuple
+of the h in its components h y^i dx.  reconstruct builds its own powers
+(-f)^e with exact FpPoly products, so it shares no arithmetic with the int64
+table of asnum.anumber, and kernel_vectors eliminates in Python ints,
+sharing no code with asnum.linalg.  domain_basis enumerates the kernel-tuple
+basis one exponent at a time, so the column checks share no column order
+with the builds either.
+
+Bound references: the counting windows of the lower bound, counted with
+exact fractions one window at a time, and the closed forms of the bound for
+p = 3 and for p = 5, d = 5n + 1; the package sums the windows with floor
+sums instead.  Family reference: the p = 5 trinomials keyed on d mod 5, a
+second minimal family beside the package's table rows.
 """
 
 import math
+from fractions import Fraction
 
 from asnum.fppoly import FpPoly
 
@@ -142,3 +150,67 @@ def kernel_vectors(a, p: int) -> list[list[int]]:
             v[c] = -m[r][f] % p
         out.append(v)
     return out
+
+
+def _ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
+
+
+def threshold(p: int, d: int, i: int, j: int) -> Fraction:
+    """The open lower endpoint i*d - (1 - 1/p)*d*j of counting window (i, j)."""
+    return i * d - (1 - Fraction(1, p)) * d * j
+
+
+def block_count(p: int, d: int, i: int, j: int) -> int:
+    """Number of multiples of p in the window (threshold(p, d, i, j), i*d].
+
+    floor(threshold / p) on integers: threshold * p = i*d*p - d*j*(p-1).
+    """
+    return i * d // p - (i * d * p - d * j * (p - 1)) // (p * p)
+
+
+def lower_bound_p3(d: int) -> int:
+    """Closed form of the p = 3 bound: ceil(2d/3)+ceil(d/3)-ceil(d/9)-ceil(4d/9)."""
+    if d < 1 or d % 3 == 0:
+        raise ValueError(f"d = {d} is not a positive degree coprime to 3")
+    return _ceil_div(2 * d, 3) + _ceil_div(d, 3) - _ceil_div(d, 9) - _ceil_div(4 * d, 9)
+
+
+def lower_bound_p5_5n1(n: int) -> int:
+    """Closed form of the p = 5 bound for degree d = 5n + 1."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return 9 * n - (2 * n // 5 + (7 * n + 1) // 5 + (12 * n + 2) // 5)
+
+
+def family_p5_mod5(d: int) -> FpPoly:
+    """The trinomial of degree d over F_5 keyed on d mod 5, unit coefficients.
+
+    Defined for every d coprime to 5: degrees 1 through 4 take x, x^2,
+    x^3 + x^2 and x^4, and larger degrees one trinomial per residue class.
+    For small quotients n two of the three exponents can coincide, in which
+    case their coefficients add.
+    """
+    if d < 1 or d % 5 == 0:
+        raise ValueError(f"d = {d} is not a positive degree coprime to 5")
+    if d < 5:
+        exponents = {1: (1,), 2: (2,), 3: (3, 2), 4: (4,)}[d]
+    else:
+        n, c = divmod(d, 5)
+        if c == 1:
+            mid = 5 * n - 1
+            low = 5 * n - 5 * (2 * (n + 2) // 5) + 4
+        elif c == 2:
+            mid = 5 * n + 1
+            low = 5 * n - 5 * (2 * (n - 1) // 5) - 1
+        elif c == 3:
+            mid = 5 * n + 2
+            low = 5 * n - 5 * (2 * (n - 1) // 5) - 1
+        else:
+            mid = 5 * n + 2
+            low = 5 * n - 5 * (2 * (n + 1) // 5) + 3
+        exponents = (d, mid, low)
+    coeffs = [0] * (d + 1)
+    for e in exponents:
+        coeffs[e] += 1
+    return FpPoly(5, coeffs)

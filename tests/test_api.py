@@ -24,9 +24,9 @@ def test_benchmark_imports_are_public():
 
 
 def test_public_names_resolve_and_the_test_reference_is_not_public():
-    # the kernel-tuple lift, its line operators and the basis enumeration
-    # serve only the tests (tests/reference.py), so the package does not
-    # carry them
+    # the kernel-tuple lift, its line operators, the basis enumeration, the
+    # bound's windows and closed forms and the mod-5 family serve only the
+    # tests (tests/reference.py), so the package does not carry them
     assert len(asnum.__all__) == len(set(asnum.__all__))
     assert all(hasattr(asnum, name) for name in asnum.__all__)
     gone = [
@@ -40,6 +40,13 @@ def test_public_names_resolve_and_the_test_reference_is_not_public():
         "fppoly.section_after_cartier",
         "curve.level_exponents",
         "curve.domain_basis",
+        "bounds.threshold",
+        "bounds.block_count",
+        "bounds.lower_bound_p3",
+        "bounds.lower_bound_p5_5n1",
+        "families.family_p5_mod5",
+        "families.MOD5_DEGREES",
+        "experiments.DRAW_CELLS",
     ]
     for path in gone:
         module, name = path.split(".")

@@ -8,17 +8,13 @@ import pytest
 import asnum.bounds
 from asnum.bounds import (
     RamificationData,
-    _block_count,
     _floor_sum,
-    block_count,
     level_sum,
     lower_bound,
-    lower_bound_p3,
-    lower_bound_p5_5n1,
     lower_bound_single,
-    threshold,
 )
 from asnum.numutil import ceil_div, is_prime
+from reference import block_count, lower_bound_p3, lower_bound_p5_5n1, threshold
 
 SMALL_PD = [(p, d) for p in (2, 3, 5, 7) for d in range(1, 41) if d % p != 0]
 
@@ -27,19 +23,6 @@ def test_threshold_values():
     assert threshold(3, 17, 1, 1) == Fraction(17, 3)
     assert threshold(5, 11, 2, 2) == Fraction(22, 5)
     assert threshold(3, 4, 2, 0) == 8
-
-
-def test_threshold_rejects_bad_indices():
-    with pytest.raises(ValueError):
-        threshold(5, 11, 1, 2)  # i < j
-    with pytest.raises(ValueError):
-        threshold(5, 11, 5, 2)  # i > p - 1
-    with pytest.raises(ValueError):
-        threshold(5, 11, 2, -1)
-    with pytest.raises(ValueError):
-        threshold(5, 10, 2, 1)  # p | d
-    with pytest.raises(ValueError):
-        threshold(4, 3, 1, 1)  # p not prime
 
 
 def test_block_count_values():
@@ -66,6 +49,17 @@ def test_block_count_matches_enumeration():
                 )
 
 
+def test_level_sum_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        level_sum(5, 11, -1)
+    with pytest.raises(ValueError):
+        level_sum(5, 11, 5)  # j > p - 1
+    with pytest.raises(ValueError):
+        level_sum(5, 10, 2)  # p | d
+    with pytest.raises(ValueError):
+        level_sum(4, 3, 1)  # p not prime
+
+
 def test_level_sum_values():
     assert level_sum(5, 11, 2) == 10
     assert level_sum(5, 11, 3) == 10
@@ -87,8 +81,8 @@ def test_level_sum_matches_the_direct_sum():
             if d % p == 0:
                 continue
             for j in range(p):
-                # the loop level_sum ran before it used floor sums
-                expect = sum(_block_count(p, d, i, j) for i in range(j, p))
+                # the windows counted one at a time
+                expect = sum(block_count(p, d, i, j) for i in range(j, p))
                 assert level_sum(p, d, j) == expect, (p, d, j)
 
 

@@ -36,7 +36,7 @@ def set_chunk_rows(monkeypatch, p, d, rows):
     """Make engine chunks at (p, d) hold `rows` samples; None keeps the default."""
     if rows is not None:
         monkeypatch.setattr(asnum.experiments, "CHUNK_ROWS", rows)
-        assert _chunk_rows(p, d) == rows
+        assert _chunk_rows(_shape(p, d)) == rows
 
 
 def fake_pool(monkeypatch, jobs=None):
@@ -137,11 +137,34 @@ class TestDistribution:
 
     def test_one_chunk_starts_no_pool(self, monkeypatch):
         recorded = fake_pool(monkeypatch)
-        assert _chunk_rows(3, 17) >= 100
+        assert _chunk_rows(_shape(3, 17)) >= 100
         for seed in range(3):
             serial = distribution(3, 17, 100, seed, threads=1)
             assert distribution(3, 17, 100, seed, threads=8).counts == serial.counts
         assert recorded == []
+
+    def test_one_shape_per_survey_and_per_job(self, monkeypatch):
+        # the shape of x^d is built once per call, or once per worker job
+        calls = []
+        from_poly = BasicCurve.from_poly
+        monkeypatch.setattr(
+            BasicCurve,
+            "from_poly",
+            staticmethod(lambda p, f: calls.append((p, f.degree)) or from_poly(p, f)),
+        )
+        assert distribution(3, 17, 600, 1).counts == {8: 384, 9: 187, 10: 29}
+        assert calls == [(3, 17)]
+        calls.clear()
+        min_a_random(3, 17, 600, 1)
+        min_a_exhaustive(3, 4)
+        assert calls == [(3, 17), (3, 4)]
+        jobs = []
+        fake_pool(monkeypatch, jobs)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        set_chunk_rows(monkeypatch, 3, 8, 7)
+        calls.clear()
+        distribution(3, 8, 300, seed=9, threads=2)
+        assert len(jobs) > 1 and calls == [(3, 8)] * (1 + len(jobs))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -317,7 +340,8 @@ class TestEngine:
         # the shapes include empty matrices: no obstruction rows, no domain
         assert _shape(p, 1).dim_domain == _shape(p, 1).dim_obstruction == 0
         for d in degrees:
-            for rows, a in _a_numbers(p, d, _random_chunks(p, d, 7 * p + d, 0, 30)):
+            shape = _shape(p, d)
+            for rows, a in _a_numbers(shape, _random_chunks(shape, 7 * p + d, 0, 30)):
                 expect = [
                     a_number_fast(BasicCurve.from_poly(p, FpPoly(p, row.tolist())))
                     for row in rows
@@ -347,7 +371,7 @@ class TestEngine:
         rows, cols = _shape(3, 17).live_shape
         cells = rows * cols
         monkeypatch.setattr(asnum.experiments, "CHUNK_CELLS", 5 * cells + 1)
-        assert _chunk_rows(3, 17) == 5
+        assert _chunk_rows(_shape(3, 17)) == 5
         assert distribution(3, 17, 300, 4).counts == {8: 197, 9: 94, 10: 9}
 
     @pytest.mark.parametrize(
@@ -362,13 +386,13 @@ class TestEngine:
     )
     def test_rejects_rows_not_normalized(self, row):
         good = [0, 1, 2, 0, 2]
-        assert [a.tolist() for _, a in _a_numbers(3, 4, [np.array([good])])] == [[2]]
+        assert [a.tolist() for _, a in _a_numbers(_shape(3, 4), [np.array([good])])] == [[2]]
         with pytest.raises(ValueError, match="not normalized"):
-            list(_a_numbers(3, 4, [np.array([good, row])]))
+            list(_a_numbers(_shape(3, 4), [np.array([good, row])]))
 
     def test_rejects_rows_of_another_degree(self):
         with pytest.raises(ValueError, match="not normalized"):
-            list(_a_numbers(3, 4, [np.array([[0, 1, 2, 0, 1, 0]])]))
+            list(_a_numbers(_shape(3, 4), [np.array([[0, 1, 2, 0, 1, 0]])]))
 
 
 class TestSeededDraw:
@@ -406,12 +430,9 @@ class TestSeededDraw:
         assert exact.any() and not exact.all()
         assert np.array_equal(_seeded_rows(p, 3, 1, 0, 64), self.reference(p, 3, 1, 0, 64))
 
-    @pytest.mark.parametrize("cells", [1, 200, None])
-    def test_chunks_across_draw_blocks(self, monkeypatch, cells):
+    def test_chunks_match_the_per_sample_draw(self, monkeypatch):
         set_chunk_rows(monkeypatch, 3, 8, 7)
-        if cells is not None:
-            monkeypatch.setattr(asnum.experiments, "DRAW_CELLS", cells)
-        chunks = list(_random_chunks(3, 8, 5, 3, 60))
+        chunks = list(_random_chunks(_shape(3, 8), 5, 3, 60))
         assert [len(rows) for rows in chunks] == [7] * 8 + [1]
         assert np.array_equal(np.concatenate(chunks), self.reference(3, 8, 5, 3, 60))
 

