@@ -430,10 +430,16 @@ class TestSeededDraw:
         assert exact.any() and not exact.all()
         assert np.array_equal(_seeded_rows(p, 3, 1, 0, 64), self.reference(p, 3, 1, 0, 64))
 
-    def test_chunks_match_the_per_sample_draw(self, monkeypatch):
+    @pytest.mark.parametrize("cells", [1, 200, None])
+    def test_chunks_across_draw_blocks(self, monkeypatch, cells):
+        # each chunk is one draw; a CHUNK_CELLS cap below the 2x2 live block
+        # of (3, 8) times 7 rows cuts the draws to one row each
         set_chunk_rows(monkeypatch, 3, 8, 7)
+        if cells is not None:
+            monkeypatch.setattr(asnum.experiments, "CHUNK_CELLS", cells)
         chunks = list(_random_chunks(_shape(3, 8), 5, 3, 60))
-        assert [len(rows) for rows in chunks] == [7] * 8 + [1]
+        lengths = [1] * 57 if cells == 1 else [7] * 8 + [1]
+        assert [len(rows) for rows in chunks] == lengths
         assert np.array_equal(np.concatenate(chunks), self.reference(3, 8, 5, 3, 60))
 
 
