@@ -10,8 +10,11 @@ Oracle path: the matrix of the Cartier operator of the cover itself on the
 full monomial basis x^j y^i dx of regular differentials, and its kernel
 dimension.  Since y = y^p - f, y^i = sum_t comb(i, t) y^(pt) (-f)^(i-t), so
 the entry at row x^r y^t dx and column x^j y^i dx is comb(i, t) times the
-coefficient of x^(p(r+1)-1-j) in (-f)^(i-t).  The paths share only the
-table of powers (-f)^e, so their agreement is a meaningful end-to-end check.
+coefficient of x^(p(r+1)-1-j) in (-f)^(i-t).  Each level block is a
+strided view of the zero-padded (-f)^(i-t), its windows p apart and read
+backwards, so the build makes no index or mask arrays.  The paths share only
+the table of powers (-f)^e, so their agreement is a meaningful end-to-end
+check.
 
 The power table and the obstruction build take a stack of polynomials of one
 degree, one row each, since every matrix shape depends only on (p, d): the
@@ -50,6 +53,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bounds import lower_bound_single
 from .curve import BasicCurve
@@ -70,7 +74,8 @@ def _neg_f_power_stack(p: int, coeffs, top: int | None = None) -> list[np.ndarra
     same bound covers the products of a reduced binomial with a table entry
     in both matrix builds.  Each power is one shifted add per coefficient
     column of f that is nonzero in some row, or one np.convolve per row when
-    there are fewer rows than such columns, as for a single large curve.
+    there are fewer rows than such columns, as for a single large curve;
+    (-f)^1 is -f itself.
     """
     check_int64_sum(len(coeffs[0]), (p - 1) ** 2, "(-f)^e table")
     top = p - 1 if top is None else top
@@ -85,8 +90,8 @@ def _neg_f_power_stack(p: int, coeffs, top: int | None = None) -> list[np.ndarra
                 row.append(np.convolve(row[-1], f) % p)
             per_row.append(row)
         return [np.array(power) for power in zip(*per_row)]
-    powers = [np.ones((n, 1), dtype=np.int64)]
-    for _ in range(top):
+    powers = [np.ones((n, 1), dtype=np.int64), neg][: top + 1]
+    for _ in range(1, top):
         prev = powers[-1]
         nxt = np.zeros((n, prev.shape[1] + length - 1), dtype=np.int64)
         for k in cols:
@@ -143,14 +148,22 @@ def obstruction_stack(curve: BasicCurve, coeffs) -> np.ndarray:
     level src adds comb(src, t) * omega[src] * g with g = (-f)^(src-t) in
     two parts: the unit monomials x^j of the columns topped at src are one
     gather g[p*u + p - 1 - j], and the compressed components of the higher
-    columns are a shifted-add convolution with g[::p] alone, since only
-    exponents divisible by p move -1 (mod p) onto itself.  The live rows of
-    level t are then a slice of its compressed block.
+    columns are a convolution with g[::p] alone, since only exponents
+    divisible by p move -1 (mod p) onto itself.  The convolution follows the
+    power table's rule: a stack with fewer rows than nonzero columns of
+    g[::p], such as a single curve, takes one int64 product with the
+    lower-triangular Toeplitz matrix of g[::p]; larger stacks take one
+    shifted add per nonzero column.  Both sum the terms _check_build_headroom
+    bounds.  The live rows of level t are then a slice of its compressed
+    block.  With no live rows, as at d <= 2, the stack is zero and
+    nothing is built.
     """
     p = curve.p
     _check_build_headroom(curve)
     shape = curve.live_shape
     check_cells(*shape, "obstruction matrix")
+    if shape[0] == 0:
+        return np.zeros((len(coeffs), *shape), dtype=np.int64)
     col, live = curve.col_start, curve.live_start
     # the levels with columns are 0 .. top; those above add nothing
     top = max((i for i in range(p) if col[i + 1] > col[i]), default=0)
@@ -177,8 +190,19 @@ def obstruction_stack(curve: BasicCurve, coeffs) -> np.ndarray:
                 m = w.shape[1]
                 sub = acc[:, :, col[src + 1] - base :]
                 gp = g[:, ::p]
-                for k in np.flatnonzero(gp.any(axis=0)).tolist():
-                    sub[:, k : k + m] += gp[:, k, None, None] * w
+                shifts = np.flatnonzero(gp.any(axis=0)).tolist()
+                if n < len(shifts):
+                    # one product with the lower-triangular Toeplitz matrix
+                    # of gp: entry (u, v) is gp[u - v], 0 where u - v is
+                    # negative or past gp
+                    pad = np.zeros((n, rows + m - 1), dtype=np.int64)
+                    span = min(gp.shape[1], rows)
+                    pad[:, m - 1 : m - 1 + span] = gp[:, :span]
+                    toeplitz = sliding_window_view(pad, m, axis=1)[:, :, ::-1]
+                    sub += np.matmul(np.ascontiguousarray(toeplitz), w)
+                else:
+                    for k in shifts:
+                        sub[:, k : k + m] += gp[:, k, None, None] * w
         np.negative(acc, out=acc)
         acc %= p
         comp[t] = acc
@@ -294,10 +318,12 @@ def cartier_matrix(curve: BasicCurve) -> FpMatrix:
     """Matrix of the Cartier operator of the cover on regular differentials.
 
     Basis: x^j y^i dx with 0 <= j <= reg_bound[i], level-major; its size is
-    the genus.  Each (t, i) level block is one gather from (-f)^(i-t) by the
-    closed form in the module docstring.  The operator preserves the regular
-    span; the implementation checks this instead of assuming it.  The
-    matrix must stay within numutil.MAX_CELLS.
+    the genus.  Each (t, i) level block is a strided view of the zero-padded
+    (-f)^(i-t), rows p apart and columns reversed, by the closed form in the
+    module docstring, copied into place and scaled there by comb(i, t) mod p
+    unless that is 1.  The operator preserves the regular span; the
+    implementation checks this instead of assuming it, on the view's rows
+    past the level's size.  The matrix must stay within numutil.MAX_CELLS.
     """
     check_cells(curve.genus, curve.genus, "Cartier matrix")
     p = curve.p
@@ -308,20 +334,27 @@ def cartier_matrix(curve: BasicCurve) -> FpMatrix:
     off = np.cumsum([0] + sizes)
     mat = np.zeros((curve.genus, curve.genus), dtype=np.int64)
     for i in range(p):
+        if not sizes[i]:
+            continue
         for t in range(i + 1):
             g = negf[i - t][0]
             # enough rows r to reach every coefficient of g; rows past
             # reg_bound[t] must come out zero
             rows = max(sizes[t], (len(g) + sizes[i] - 1) // p)
-            idx = p * np.arange(1, rows + 1)[:, None] - 1 - np.arange(sizes[i])
-            ok = (idx >= 0) & (idx < len(g))
-            block = np.zeros(idx.shape, dtype=np.int64)
-            block[ok] = g[idx[ok]]
+            # entry (r, j) = g[p(r+1) - 1 - j]: windows of the zero-padded g
+            # that start at p - 1, p steps apart, read backwards
+            pad = np.zeros(p * rows + sizes[i] - 1, dtype=np.int64)
+            pad[sizes[i] - 1 : sizes[i] - 1 + len(g)] = g[: len(pad) - sizes[i] + 1]
+            block = sliding_window_view(pad, sizes[i])[p - 1 :: p, ::-1]
             if block[sizes[t] :].any():
                 raise InvariantViolation("Cartier image left the regular span")
-            # reduce the binomial first: products stay below p^2 in int64
-            block = math.comb(i, t) % p * block[: sizes[t]] % p
-            mat[off[t] : off[t + 1], off[i] : off[i + 1]] = block
+            dst = mat[off[t] : off[t + 1], off[i] : off[i + 1]]
+            dst[...] = block[: sizes[t]]
+            # the binomial is a unit mod p; products stay below p^2 in int64
+            scale = math.comb(i, t) % p
+            if scale != 1:
+                dst *= scale
+                dst %= p
     return FpMatrix._of_residues(p, mat)
 
 

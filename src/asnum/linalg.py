@@ -4,12 +4,17 @@ One forward Gaussian elimination with first-nonzero pivoting gives the rank
 as its pivot count.  The matrices in this package stay at most a few thousand
 square, so exactness and simplicity win over asymptotics.  All mod-p
 reductions are on integers, never floats.  The elimination delays them: it
-reduces only the column it searches for a pivot and the pivot row, and lets
-the rows below run negative, since each update lowers an entry by at most
-(p-1)^2.  It reduces the rest once every INT64_MAX // (p-1)^2 updates, a
-period fixed by p alone that no matrix within numutil.MAX_CELLS reaches for
+reduces only the column it searches for a pivot and, when a row below needs
+clearing, the pivot row and the short vector of factors, and lets the rows
+below run negative.  Each pivot lowers an entry at most once, by at most
+(p-1)^2, so a rows x cols matrix needs no reduction at all in a dtype that
+holds min(rows, cols) * (p-1)^2 + p.  The elimination therefore works on a
+copy in the narrowest of int16 and int32 that does, and otherwise in int64,
+where it reduces the rest once every INT64_MAX // (p-1)^2 updates, a period
+fixed by p alone that no matrix within numutil.MAX_CELLS reaches for
 p < 2^21.  In numpy an int64 % costs about ten times a subtraction, and
-reducing every updated row was most of the elimination's work.
+reducing every updated row was most of the elimination's work; the narrow
+copy halves or quarters the bytes each update moves.
 
 A single matrix is ranked by one body, coords_rank_nullity, which takes the
 (row, col) coordinates and values of its nonzeros; rank_nullity hands it
@@ -36,7 +41,7 @@ _echelon.
 
 import numpy as np
 
-from .numutil import INT64_MAX, check_cells, check_int64_sum, is_prime
+from .numutil import check_cells, check_int64_sum, is_prime
 
 
 class FpMatrix:
@@ -137,43 +142,52 @@ def _peel(r: np.ndarray, c: np.ndarray, shape) -> tuple[int, np.ndarray, np.ndar
 def _echelon(a: np.ndarray, p: int) -> int:
     """Rank of ``a`` mod p: the pivot count of a forward elimination on a copy.
 
-    The entries of ``a`` are residues in [0, p).  Delayed reduction: at each
-    column only the pivot-search slice and the scaled pivot row are reduced
-    mod p.  The rows below take row -= factor * pivot_row with no % p, and
-    each such update lowers an entry by at most (p-1)^2, so the block still
-    to eliminate is reduced only once every INT64_MAX // (p-1)^2 updates
-    (the period), which keeps every entry within int64.  For p < 2^21 the
-    period exceeds 2^21, more updates than a matrix within numutil.MAX_CELLS
-    has pivots, so the block is never reduced; at the edge of _check_headroom
-    the period is 1.  The pivot row is never read again, so moving it up is
-    one copy of row r into its slot.  Forward elimination only: clearing
-    above the pivots as well would cost the rank a full reduction it does not
-    need.  The caller checks int64 headroom first (_check_headroom).
+    The entries of ``a`` are residues in [0, p).  The copy is in the narrowest
+    of int16 and int32 that holds min(rows, cols) * (p-1)^2 + p, else in
+    int64.  Delayed reduction: at each column only the pivot-search slice is
+    reduced mod p, and, when some row below needs clearing, the pivot row and
+    the short vector of factors col[sel] * inv mod p.  The rows below take
+    row -= factor * pivot_row with no % p; each pivot lowers an entry at most
+    once, by at most (p-1)^2, so in int16 or int32 no entry ever leaves the
+    dtype.  The block still to eliminate is reduced once every
+    iinfo(dtype).max // (p-1)^2 updates (the period), which only int64 can
+    reach: for p < 2^21 the int64 period exceeds 2^21, more updates than a
+    matrix within numutil.MAX_CELLS has pivots, and at the edge of
+    _check_headroom it is 1.  The pivot row is never read again, so moving it
+    up is one copy of row r into its slot.  Forward elimination only:
+    clearing above the pivots as well would cost the rank a full reduction it
+    does not need.  The caller checks int64 headroom first (_check_headroom).
     """
-    a = a.copy()
     rows, cols = a.shape
-    period = INT64_MAX // (p - 1) ** 2
+    bound = min(rows, cols) * (p - 1) ** 2 + p
+    dtype = next(
+        (t for t in (np.int16, np.int32) if bound <= np.iinfo(t).max), np.int64
+    )
+    a = a.astype(dtype)
+    period = int(np.iinfo(dtype).max) // (p - 1) ** 2
     pending = 0
     r = 0
     for c in range(cols):
         if r == rows:
             break
         col = a[r:, c] % p
-        nz = np.flatnonzero(col)
+        nz = col.nonzero()[0]
         if nz.size == 0:
             continue
         piv = int(nz[0])
-        prow = a[r + piv, c + 1 :] % p * pow(int(col[piv]), -1, p) % p
+        sel = nz[1:]
+        if sel.size:
+            prow = a[r + piv, c + 1 :] % p
+            fac = col[sel] * pow(int(col[piv]), -1, p) % p
         if piv:
             # the pivot row is never read again; row r takes its slot, and
             # needs no update there, being zero in column c
             a[r + piv, c + 1 :] = a[r, c + 1 :]
-        sel = nz[1:]
         if sel.size:
             if pending == period:
                 a[r + 1 :, c + 1 :] %= p
                 pending = 0
-            a[r + sel, c + 1 :] -= np.outer(col[sel], prow)
+            a[r + sel, c + 1 :] -= fac[:, None] * prow
             pending += 1
         r += 1
     return r

@@ -296,6 +296,52 @@ class TestObstructionMap:
                 assert c.dim_domain - rank == a_number_fast(c)
                 assert np.array_equal(full.a[rows, c.col_start[1] :], block)
 
+    def test_convolution_paths_agree(self, monkeypatch):
+        # a single curve convolves by one Toeplitz product per level pair; a
+        # stack of d + 2 rows keeps the shifted adds, since g[::p], g = (-f)^e
+        # with e < p, has at most d columns.  The block must not depend on it.
+        products = []
+
+        class CountingNp:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def matmul(self, *args):
+                products.append(len(args[0]))
+                return np.matmul(*args)
+
+        monkeypatch.setattr(asnum.anumber, "np", CountingNp())
+        rng = np.random.default_rng(79)
+        single_products = 0
+        for p in (5, 7, 13):
+            for _ in range(8):
+                d = int(rng.integers(1, 61))
+                if d % p == 0:
+                    continue
+                curves = [random_curve(p, d, rng) for _ in range(d + 2)]
+                c = curves[0]
+                products.clear()
+                single = obstruction_stack(c, [c.f.coeffs])[0]
+                single_products += len(products)
+                products.clear()
+                stacked = obstruction_stack(c, [curve.f.coeffs for curve in curves])
+                assert products == [], (p, d)
+                assert np.array_equal(single, stacked[0]), (p, d, str(c.f))
+        assert single_products > 0
+
+    def test_empty_live_block_builds_no_powers(self, monkeypatch):
+        # at d = 2 the live block has no rows, so the a-number is the genus,
+        # with no power of -f built
+        def no_powers(*args, **kwargs):
+            raise AssertionError("power table built for an empty live block")
+
+        monkeypatch.setattr(asnum.anumber, "_neg_f_power_stack", no_powers)
+        for p in (3, 13, 101, 1009):
+            c = make(p, "x^2")
+            assert c.live_shape[0] == 0
+            assert a_number_fast(c) == c.genus
+            assert obstruction_stack(c, [c.f.coeffs] * 3).shape == (3, *c.live_shape)
+
     def test_build_peak_stays_below_twice_the_matrix(self):
         # the build negates and reduces its accumulator in place and makes
         # only the live block, which is set in the zeros of the full matrix

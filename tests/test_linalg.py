@@ -1,11 +1,15 @@
 """Exact F_p linear algebra: rank and nullity; the reference's kernel vectors."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import asnum.linalg
+from asnum.anumber import cartier_matrix
+from asnum.curve import BasicCurve
+from asnum.experiments import sample_poly
 from asnum.linalg import (
     FpMatrix,
     _echelon,
@@ -119,7 +123,10 @@ def python_int_rank(m, p):
     return m.shape[1] - len(kernel_vectors(m, p))
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, PERIOD_8_P, EDGE_P])
+# _echelon's copy is int16 while min(rows, cols) * (p-1)^2 + p fits, else
+# int32, else int64: at p = 41 the shapes below cross int16 -> int32, at
+# p = 10007 int32 -> int64
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 41, 10007, PERIOD_8_P, EDGE_P])
 def test_echelon_matches_a_python_int_rank(p):
     rng = np.random.default_rng(500 + p % 1000)
     for rows, cols in ((1, 1), (5, 9), (9, 5), (24, 24), (30, 18)):
@@ -134,6 +141,23 @@ def test_echelon_matches_a_python_int_rank(p):
             before = m.copy()
             assert _echelon(m, p) == python_int_rank(m, p), (rows, cols, inner)
             assert np.array_equal(m, before)
+
+
+def test_echelon_eliminates_in_a_narrow_copy():
+    # at (5, 499) the Cartier matrix is 996 x 996 and 996 * 4^2 + 5 fits
+    # int16, so the copy takes a quarter of the int64 matrix's bytes
+    curve = BasicCurve.from_poly(5, sample_poly(5, 499, np.random.default_rng(17)))
+    m = cartier_matrix(curve)
+    expect = _echelon(m.a, 5)
+    before = m.a.copy()
+    tracemalloc.start()
+    try:
+        assert _echelon(m.a, 5) == expect
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * m.a.nbytes
+    assert np.array_equal(m.a, before)
 
 
 def test_headroom_edge_prime_is_ranked():
