@@ -148,15 +148,10 @@ def obstruction_stack(curve: BasicCurve, coeffs) -> np.ndarray:
     level src adds comb(src, t) * omega[src] * g with g = (-f)^(src-t) in
     two parts: the unit monomials x^j of the columns topped at src are one
     gather g[p*u + p - 1 - j], and the compressed components of the higher
-    columns are a convolution with g[::p] alone, since only exponents
-    divisible by p move -1 (mod p) onto itself.  The convolution follows the
-    power table's rule: a stack with fewer rows than nonzero columns of
-    g[::p], such as a single curve, takes one int64 product with the
-    lower-triangular Toeplitz matrix of g[::p]; larger stacks take one
-    shifted add per nonzero column.  Both sum the terms _check_build_headroom
-    bounds.  The live rows of level t are then a slice of its compressed
-    block.  With no live rows, as at d <= 2, the stack is zero and
-    nothing is built.
+    columns are a shifted-add convolution with g[::p] alone, since only
+    exponents divisible by p move -1 (mod p) onto itself.  The live rows of
+    level t are then a slice of its compressed block.  With no live rows, as
+    at d <= 2, the stack is zero and nothing is built.
     """
     p = curve.p
     _check_build_headroom(curve)
@@ -190,19 +185,8 @@ def obstruction_stack(curve: BasicCurve, coeffs) -> np.ndarray:
                 m = w.shape[1]
                 sub = acc[:, :, col[src + 1] - base :]
                 gp = g[:, ::p]
-                shifts = np.flatnonzero(gp.any(axis=0)).tolist()
-                if n < len(shifts):
-                    # one product with the lower-triangular Toeplitz matrix
-                    # of gp: entry (u, v) is gp[u - v], 0 where u - v is
-                    # negative or past gp
-                    pad = np.zeros((n, rows + m - 1), dtype=np.int64)
-                    span = min(gp.shape[1], rows)
-                    pad[:, m - 1 : m - 1 + span] = gp[:, :span]
-                    toeplitz = sliding_window_view(pad, m, axis=1)[:, :, ::-1]
-                    sub += np.matmul(np.ascontiguousarray(toeplitz), w)
-                else:
-                    for k in shifts:
-                        sub[:, k : k + m] += gp[:, k, None, None] * w
+                for k in np.flatnonzero(gp.any(axis=0)).tolist():
+                    sub[:, k : k + m] += gp[:, k, None, None] * w
         np.negative(acc, out=acc)
         acc %= p
         comp[t] = acc

@@ -296,23 +296,10 @@ class TestObstructionMap:
                 assert c.dim_domain - rank == a_number_fast(c)
                 assert np.array_equal(full.a[rows, c.col_start[1] :], block)
 
-    def test_convolution_paths_agree(self, monkeypatch):
-        # a single curve convolves by one Toeplitz product per level pair; a
-        # stack of d + 2 rows keeps the shifted adds, since g[::p], g = (-f)^e
-        # with e < p, has at most d columns.  The block must not depend on it.
-        products = []
-
-        class CountingNp:
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            def matmul(self, *args):
-                products.append(len(args[0]))
-                return np.matmul(*args)
-
-        monkeypatch.setattr(asnum.anumber, "np", CountingNp())
+    def test_single_curve_matches_its_row_in_a_stack(self):
+        # a single curve takes the np.convolve power table; a stack of d + 2
+        # rows, more than f has columns, takes the shifted adds
         rng = np.random.default_rng(79)
-        single_products = 0
         for p in (5, 7, 13):
             for _ in range(8):
                 d = int(rng.integers(1, 61))
@@ -320,14 +307,9 @@ class TestObstructionMap:
                     continue
                 curves = [random_curve(p, d, rng) for _ in range(d + 2)]
                 c = curves[0]
-                products.clear()
                 single = obstruction_stack(c, [c.f.coeffs])[0]
-                single_products += len(products)
-                products.clear()
                 stacked = obstruction_stack(c, [curve.f.coeffs for curve in curves])
-                assert products == [], (p, d)
                 assert np.array_equal(single, stacked[0]), (p, d, str(c.f))
-        assert single_products > 0
 
     def test_empty_live_block_builds_no_powers(self, monkeypatch):
         # at d = 2 the live block has no rows, so the a-number is the genus,
