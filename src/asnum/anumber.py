@@ -27,9 +27,11 @@ at most live_bound[t], so the rows above it are zero.  The dense build makes
 only the live block, with its compressed rows up to that bound and the
 powers (-f)^e that its levels reach; the survey engine and a_number_fast
 rank it, and obstruction_matrix sets it in zeros.  The
-table is built with numpy in int64; the builds' int64 sums are checked for
-headroom, and each dense matrix's size against numutil.MAX_CELLS, before
-anything is built.  The tests check every column of the obstruction matrix
+builds' int64 sums are checked for headroom, and each dense matrix's size
+against numutil.MAX_CELLS, before anything is built.  The same bounds cap
+every value the power table and the obstruction build hold, so both run in
+the narrowest of int16, int32 and int64 that holds them
+(numutil.narrowest_int_dtype); the matrices they hand on are int64.  The tests check every column of the obstruction matrix
 against a lift of one tuple at a time in exact FpPoly arithmetic, which
 builds its own powers and enumerates its own basis.
 
@@ -53,16 +55,30 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .bounds import lower_bound_single
 from .curve import BasicCurve
 from .linalg import FpMatrix, rank_nullity
-from .numutil import check_cells, check_int64_sum
+from .numutil import check_cells, check_int64_sum, narrowest_int_dtype
 
 
 class InvariantViolation(AssertionError):
     """A structural invariant of the computation failed: a bug, not bad input."""
+
+
+def _reduce(a: np.ndarray, p: int) -> np.ndarray:
+    """Reduce the non-negative integer array ``a`` mod p in place; return it.
+
+    numpy's floor division by a scalar is vectorized and its integer
+    remainder is not: on 16800 int16 entries (numpy 2.4, a 2-core x86-64 VM)
+    a % p took about 60 us and a - p * (a // p) about 10 us.  For a >= 0,
+    p * (a // p) lies in [0, a], so no step leaves a's dtype.
+    """
+    q = a // p
+    q *= p
+    a -= q
+    return a
 
 
 def _neg_f_power_stack(p: int, coeffs, top: int | None = None) -> list[np.ndarray]:
@@ -70,38 +86,42 @@ def _neg_f_power_stack(p: int, coeffs, top: int | None = None) -> list[np.ndarra
 
     ``top`` defaults to p - 1; the obstruction build reads fewer powers.
     ``coeffs`` holds N coefficient rows of one length L.  Each product entry
-    sums at most L terms below p^2, checked before anything is built; the
-    same bound covers the products of a reduced binomial with a table entry
-    in both matrix builds.  Each power is one shifted add per coefficient
-    column of f that is nonzero in some row, or one np.convolve per row when
-    there are fewer rows than such columns, as for a single large curve;
-    (-f)^1 is -f itself.
+    sums at most L terms below p^2, checked for int64 headroom before
+    anything is built, and the table is built in the narrowest integer dtype
+    that holds L * (p-1)^2 (numutil.narrowest_int_dtype); the same bound
+    covers the products of a reduced binomial with a table entry in both
+    matrix builds.  Each power is one shifted add per coefficient column of f
+    that is nonzero in some row, or one np.convolve per row when there are
+    fewer rows than such columns, as for a single large curve; (-f)^1 is -f
+    itself.
     """
     check_int64_sum(len(coeffs[0]), (p - 1) ** 2, "(-f)^e table")
+    dtype = narrowest_int_dtype(len(coeffs[0]) * (p - 1) ** 2)
     top = p - 1 if top is None else top
-    neg = -np.asarray(coeffs, dtype=np.int64) % p
+    neg = (-np.asarray(coeffs, dtype=np.int64) % p).astype(dtype)
     n, length = neg.shape
     cols = np.flatnonzero(neg.any(axis=0)).tolist()
     if n < len(cols):
         per_row = []
         for f in neg:
-            row = [np.ones(1, dtype=np.int64)]
+            row = [np.ones(1, dtype=dtype)]
             for _ in range(top):
-                row.append(np.convolve(row[-1], f) % p)
+                row.append(_reduce(np.convolve(row[-1], f), p))
             per_row.append(row)
         return [np.array(power) for power in zip(*per_row)]
-    powers = [np.ones((n, 1), dtype=np.int64), neg][: top + 1]
+    powers = [np.ones((n, 1), dtype=dtype), neg][: top + 1]
     for _ in range(1, top):
         prev = powers[-1]
-        nxt = np.zeros((n, prev.shape[1] + length - 1), dtype=np.int64)
+        nxt = np.zeros((n, prev.shape[1] + length - 1), dtype=dtype)
         for k in cols:
             nxt[:, k : k + prev.shape[1]] += neg[:, k, None] * prev
-        powers.append(nxt % p)
+        powers.append(_reduce(nxt, p))
     return powers
 
 
-def _check_build_headroom(curve: BasicCurve) -> None:
-    """Raise HeadroomError unless the obstruction builds' int64 sums fit.
+def _check_build_headroom(curve: BasicCurve) -> int:
+    """Raise HeadroomError unless the obstruction builds' int64 sums fit, and
+    return the bound they are checked against.
 
     Level t has at most (comp_bound[t] + 1) // p compressed rows (row u is
     exponent p*u + p - 1), and each entry adds at most p - 1 sources of that
@@ -110,6 +130,7 @@ def _check_build_headroom(curve: BasicCurve) -> None:
     p = curve.p
     rows = max((curve.comp_bound[0] + 1) // p, 0)
     check_int64_sum((p - 1) * rows, (p - 1) ** 2, "obstruction build")
+    return (p - 1) * rows * (p - 1) ** 2
 
 
 def obstruction_matrix(curve: BasicCurve) -> FpMatrix:
@@ -149,12 +170,20 @@ def obstruction_stack(curve: BasicCurve, coeffs) -> np.ndarray:
     two parts: the unit monomials x^j of the columns topped at src are one
     gather g[p*u + p - 1 - j], and the compressed components of the higher
     columns are a shifted-add convolution with g[::p] alone, since only
-    exponents divisible by p move -1 (mod p) onto itself.  The live rows of
-    level t are then a slice of its compressed block.  With no live rows, as
-    at d <= 2, the stack is zero and nothing is built.
+    exponents divisible by p move -1 (mod p) onto itself.  The sources run
+    from top down to t + 1, so each level's columns are first set by their
+    own gather, a plain assignment, before the shifted adds of lower sources
+    reach them; g is zero-padded on the left by max(j) - (p - 1) and on the
+    right to p * rows, so every gather index is in range and needs no mask.
+    The live rows of level t are then a slice of its compressed block.  An
+    entry holds one gathered residue and at most p - 2 convolutions, within
+    the bound _check_build_headroom checks, so the padded powers and the
+    level blocks are in the narrowest integer dtype that holds it; only the
+    returned stack is int64.  With no live rows, as at d <= 2, the stack is
+    zero and nothing is built.
     """
     p = curve.p
-    _check_build_headroom(curve)
+    dtype = narrowest_int_dtype(_check_build_headroom(curve))
     shape = curve.live_shape
     check_cells(*shape, "obstruction matrix")
     if shape[0] == 0:
@@ -168,27 +197,37 @@ def obstruction_stack(curve: BasicCurve, coeffs) -> np.ndarray:
     exps = [k + k // (p - 1) for k in map(np.arange, np.diff(col))]
     out = np.zeros((n, *shape), dtype=np.int64)
     # comp[t]: compressed level-t components of the columns col[t+1]: onwards
-    comp = [np.zeros((n, 0, 0), dtype=np.int64)] * p
+    comp = [np.zeros((n, 0, 0), dtype=dtype)] * p
     for t in range(top - 1, -1, -1):
         base = col[t + 1]
         rows = (curve.live_bound[t] + 1) // p
-        acc = np.zeros((n, rows, col[p] - base), dtype=np.int64)
-        for src in range(t + 1, top + 1):
-            g = math.comb(src, t) % p * negf[src - t] % p
+        # every column is first written by its own level's gather
+        acc = np.empty((n, rows, col[p] - base), dtype=dtype)
+        for src in range(top, t, -1):
+            # g[:, left + i] is the coefficient of x^i in comb(src, t) *
+            # (-f)^(src-t), zero-padded so that every unit gather is in range
+            left = max(int(exps[src][-1]) - (p - 1), 0) if len(exps[src]) else 0
+            power = negf[src - t][:, : p * rows]
+            g = np.zeros((n, left + p * rows), dtype=dtype)
+            seg = g[:, left : left + power.shape[1]]
+            seg[...] = power
+            scale = math.comb(src, t) % p
+            if scale != 1:
+                seg *= scale
+                _reduce(seg, p)
             if len(exps[src]):
-                idx = p * np.arange(rows)[:, None] + (p - 1) - exps[src]
-                ok = (idx >= 0) & (idx < g.shape[1])
-                block = np.take(g, np.where(ok, idx, 0), axis=1) * ok
-                acc[:, :, col[src] - base : col[src + 1] - base] += block
+                idx = p * np.arange(rows)[:, None] + (p - 1 + left) - exps[src]
+                acc[:, :, col[src] - base : col[src + 1] - base] = np.take(g, idx, axis=1)
             w = comp[src]
             if w.size:
                 m = w.shape[1]
                 sub = acc[:, :, col[src + 1] - base :]
-                gp = g[:, ::p]
+                gp = g[:, left::p]
                 for k in np.flatnonzero(gp.any(axis=0)).tolist():
                     sub[:, k : k + m] += gp[:, k, None, None] * w
-        np.negative(acc, out=acc)
-        acc %= p
+        # -acc mod p, as p - (acc mod p) reduced once more
+        np.subtract(p, _reduce(acc, p), out=acc)
+        _reduce(acc, p)
         comp[t] = acc
         if live[t + 1] > live[t]:
             u = (curve.slot_start[t] - (p - 1)) // p
@@ -325,11 +364,15 @@ def cartier_matrix(curve: BasicCurve) -> FpMatrix:
             # enough rows r to reach every coefficient of g; rows past
             # reg_bound[t] must come out zero
             rows = max(sizes[t], (len(g) + sizes[i] - 1) // p)
-            # entry (r, j) = g[p(r+1) - 1 - j]: windows of the zero-padded g
-            # that start at p - 1, p steps apart, read backwards
+            # entry (r, j) = g[p(r+1) - 1 - j]: a view of the zero-padded g,
+            # rows p apart from p - 1 and columns read backwards
             pad = np.zeros(p * rows + sizes[i] - 1, dtype=np.int64)
             pad[sizes[i] - 1 : sizes[i] - 1 + len(g)] = g[: len(pad) - sizes[i] + 1]
-            block = sliding_window_view(pad, sizes[i])[p - 1 :: p, ::-1]
+            block = as_strided(
+                pad[p + sizes[i] - 2 :],
+                shape=(rows, sizes[i]),
+                strides=(p * pad.strides[0], -pad.strides[0]),
+            )
             if block[sizes[t] :].any():
                 raise InvariantViolation("Cartier image left the regular span")
             dst = mat[off[t] : off[t + 1], off[i] : off[i + 1]]
@@ -338,7 +381,7 @@ def cartier_matrix(curve: BasicCurve) -> FpMatrix:
             scale = math.comb(i, t) % p
             if scale != 1:
                 dst *= scale
-                dst %= p
+                _reduce(dst, p)
     return FpMatrix._of_residues(p, mat)
 
 

@@ -41,7 +41,7 @@ _echelon.
 
 import numpy as np
 
-from .numutil import check_cells, check_int64_sum, is_prime
+from .numutil import check_cells, check_int64_sum, is_prime, narrowest_int_dtype
 
 
 class FpMatrix:
@@ -160,9 +160,7 @@ def _echelon(a: np.ndarray, p: int) -> int:
     """
     rows, cols = a.shape
     bound = min(rows, cols) * (p - 1) ** 2 + p
-    dtype = next(
-        (t for t in (np.int16, np.int32) if bound <= np.iinfo(t).max), np.int64
-    )
+    dtype = narrowest_int_dtype(bound)
     a = a.astype(dtype)
     period = int(np.iinfo(dtype).max) // (p - 1) ** 2
     pending = 0

@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 INT64_MAX = 2**63 - 1
 
 # most cells of a dense array whose size comes from the input: 512 MiB of
@@ -19,6 +21,17 @@ def check_int64_sum(terms: int, term_max: int, what: str) -> None:
         raise HeadroomError(
             f"{what}: {terms} terms up to {term_max} could overflow int64"
         )
+
+
+def narrowest_int_dtype(bound: int) -> type:
+    """The narrowest of int16 and int32 whose range holds [-bound, bound], else int64.
+
+    Callers pass a bound they have proved for every value an array can hold,
+    and check int64 headroom themselves (check_int64_sum).
+    """
+    return next(
+        (t for t in (np.int16, np.int32) if bound <= np.iinfo(t).max), np.int64
+    )
 
 
 def check_cells(rows: int, cols: int, what: str) -> None:

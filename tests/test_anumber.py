@@ -16,6 +16,7 @@ from asnum.anumber import (
     ANumberReport,
     InvariantViolation,
     _certified_p_rank,
+    _check_build_headroom,
     _neg_f_power_stack,
     _neg_f_power_terms,
     a_number_fast,
@@ -33,7 +34,7 @@ from asnum.families import minimal_family
 from asnum.fppoly import FpPoly, parse_poly
 from asnum.linalg import FpMatrix, rank_nullity, stack_ranks
 from asnum.experiments import sample_poly
-from asnum.numutil import HeadroomError
+from asnum.numutil import HeadroomError, narrowest_int_dtype
 from reference import (
     cartier,
     domain_basis,
@@ -323,6 +324,46 @@ class TestObstructionMap:
             assert c.live_shape[0] == 0
             assert a_number_fast(c) == c.genus
             assert obstruction_stack(c, [c.f.coeffs] * 3).shape == (3, *c.live_shape)
+
+    @pytest.mark.parametrize(
+        "p, d, dtype",
+        [(11, 36, np.int16), (11, 37, np.int32), (13, 20, np.int16), (13, 21, np.int32)],
+    )
+    def test_build_dtype_edges(self, p, d, dtype, monkeypatch):
+        # the build's bound crosses from int16 to int32 between these points;
+        # the int64 path needs p of about 1300, so it is forced here
+        rng = np.random.default_rng(100 * p + d)
+        curves = [random_curve(p, d, rng) for _ in range(24)]
+        c = curves[0]
+        assert narrowest_int_dtype(_check_build_headroom(c)) is dtype
+        assert_coords_match_dense(c)
+        rows = np.concatenate(
+            [np.arange(s, s + k) for s, k in zip(c.row_start, np.diff(c.live_start))]
+        )
+        stack = obstruction_stack(c, [curve.f.coeffs for curve in curves])
+        assert stack.dtype == np.int64
+        for curve, block in zip(curves, stack):
+            assert np.array_equal(densified(curve)[rows, c.col_start[1] :], block)
+        monkeypatch.setattr(asnum.anumber, "narrowest_int_dtype", lambda bound: np.int64)
+        wide = obstruction_stack(c, [curve.f.coeffs for curve in curves])
+        assert wide.tobytes() == stack.tobytes()
+
+    @pytest.mark.parametrize("p, d, n, ratio", [(3, 17, 600, 4.0), (5, 499, 1, 2.5)])
+    def test_stack_build_peak(self, p, d, n, ratio):
+        # a survey chunk and a single large curve: the narrow accumulators
+        # and padded powers keep the build's peak a small multiple of its
+        # int64 result
+        rng = np.random.default_rng(19)
+        coeffs = [sample_poly(p, d, rng).coeffs for _ in range(n)]
+        c = BasicCurve.from_poly(p, FpPoly(p, coeffs[0]))
+        obstruction_stack(c, coeffs)
+        tracemalloc.start()
+        try:
+            stack = obstruction_stack(c, coeffs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ratio * stack.nbytes
 
     def test_build_peak_stays_below_twice_the_matrix(self):
         # the build negates and reduces its accumulator in place and makes

@@ -18,7 +18,7 @@ from asnum.linalg import (
     rank_nullity,
     stack_ranks,
 )
-from asnum.numutil import INT64_MAX, HeadroomError, is_prime
+from asnum.numutil import INT64_MAX, HeadroomError, is_prime, narrowest_int_dtype
 from reference import kernel_vectors
 
 
@@ -141,6 +141,15 @@ def test_echelon_matches_a_python_int_rank(p):
             before = m.copy()
             assert _echelon(m, p) == python_int_rank(m, p), (rows, cols, inner)
             assert np.array_equal(m, before)
+
+
+def test_narrowest_int_dtype_edges():
+    # the one dtype rule of _echelon and of both dense obstruction-build steps
+    assert narrowest_int_dtype(0) is np.int16
+    assert narrowest_int_dtype(2**15 - 1) is np.int16
+    assert narrowest_int_dtype(2**15) is np.int32
+    assert narrowest_int_dtype(2**31 - 1) is np.int32
+    assert narrowest_int_dtype(2**31) is np.int64
 
 
 def test_echelon_eliminates_in_a_narrow_copy():
