@@ -85,21 +85,24 @@ def _neg_f_power_stack(p: int, coeffs, top: int | None = None) -> list[np.ndarra
     """(N, e*(L-1) + 1) arrays of (-f)^e mod p for e = 0 .. top, one row per f.
 
     ``top`` defaults to p - 1; the obstruction build reads fewer powers.
-    ``coeffs`` holds N coefficient rows of one length L.  Each product entry
-    sums at most L terms below p^2, checked for int64 headroom before
-    anything is built, and the table is built in the narrowest integer dtype
-    that holds L * (p-1)^2 (numutil.narrowest_int_dtype); the same bound
-    covers the products of a reduced binomial with a table entry in both
-    matrix builds.  Each power is one shifted add per coefficient column of f
-    that is nonzero in some row, or one np.convolve per row when there are
-    fewer rows than such columns, as for a single large curve; (-f)^1 is -f
-    itself.
+    ``coeffs`` holds N coefficient rows of one length L, every entry a
+    residue in [0, p): callers pass FpPoly coefficients, or survey rows that
+    _a_numbers has checked.  Each product entry sums at most L terms below
+    p^2, checked for int64 headroom before anything is built, and the table
+    is built in the narrowest integer dtype that holds L * (p-1)^2
+    (numutil.narrowest_int_dtype); the same bound covers the products of a
+    reduced binomial with a table entry in both matrix builds.  Each power
+    is one shifted add per coefficient column of f that is nonzero in some
+    row, or one np.convolve per row when there are fewer rows than such
+    columns, as for a single large curve; (-f)^1 is -f itself.
     """
     check_int64_sum(len(coeffs[0]), (p - 1) ** 2, "(-f)^e table")
     dtype = narrowest_int_dtype(len(coeffs[0]) * (p - 1) ** 2)
     top = p - 1 if top is None else top
-    neg = (-np.asarray(coeffs, dtype=np.int64) % p).astype(dtype)
+    neg = _reduce(p - np.asarray(coeffs, dtype=dtype), p)
     n, length = neg.shape
+    if top <= 1:
+        return [np.ones((n, 1), dtype=dtype), neg][: top + 1]
     cols = np.flatnonzero(neg.any(axis=0)).tolist()
     if n < len(cols):
         per_row = []
@@ -109,7 +112,7 @@ def _neg_f_power_stack(p: int, coeffs, top: int | None = None) -> list[np.ndarra
                 row.append(_reduce(np.convolve(row[-1], f), p))
             per_row.append(row)
         return [np.array(power) for power in zip(*per_row)]
-    powers = [np.ones((n, 1), dtype=dtype), neg][: top + 1]
+    powers = [np.ones((n, 1), dtype=dtype), neg]
     for _ in range(1, top):
         prev = powers[-1]
         nxt = np.zeros((n, prev.shape[1] + length - 1), dtype=dtype)

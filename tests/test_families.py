@@ -149,19 +149,42 @@ class TestFamilyP7:
 
 
 class TestTableSearch:
-    """The literal rows agree with a fresh search over unit binomials."""
+    """The binomial rule agrees with a fresh search over unit binomials."""
+
+    STRATEGY = {3: "p3", 5: "p5_binomial", 7: "p7_binomial"}
+
+    def assert_rule_matches_search(self, p, delta):
+        slope, shift = binomial_row_by_search(p, delta)
+        assert slope == p * (p + 1) // 2, (p, delta)
+        for m in (1, 2):
+            d = p * p * m + delta
+            e = slope * m + shift
+            f = FpPoly(p, [0] * e + [1] + [0] * (d - e - 1) + [1])
+            assert minimal_family(p, d) == (f, self.STRATEGY[p]), (p, d)
+
+    def assert_rule_at_every_binomial_residue(self, p):
+        rows = ROWS.get(p, {})
+        for delta in range(1, p * p):
+            if delta % p and delta not in rows:
+                self.assert_rule_matches_search(p, delta)
 
     def test_p3_table(self):
-        for delta, row in ROWS[3].items():
-            slope, shift = binomial_row_by_search(3, delta)
-            assert row == ("p3", ((slope, shift),)), delta
-            assert slope == 6
+        # p = 3 has no trinomial rows: every residue takes the rule
+        assert 3 not in ROWS
+        self.assert_rule_at_every_binomial_residue(3)
+
+    def test_p5_binomial_rows(self):
+        self.assert_rule_at_every_binomial_residue(5)
 
     @pytest.mark.parametrize("delta", [1, 2, 15])
     def test_p7_binomial_rows(self, delta):
-        slope, shift = binomial_row_by_search(7, delta)
-        assert slope == 28
-        assert ROWS[7][delta] == ("p7_binomial", ((28, shift),))
+        assert delta not in ROWS[7]
+        self.assert_rule_matches_search(7, delta)
+
+    def test_table_keeps_only_trinomials(self):
+        for p, rows in ROWS.items():
+            for delta, (strategy, terms) in rows.items():
+                assert len(terms) >= 2, (p, delta, strategy)
 
 
 class TestFamilyP5Mod5:
@@ -224,6 +247,16 @@ class TestMinimalFamily:
                 h.update(f"{p},{d},{strategy},{','.join(map(str, f.coeffs))};".encode())
         assert h.hexdigest() == "853a9ae112f99915f26cee8cea8e162194d8cff8"
 
+    def test_p7_members_pinned(self):
+        # recorded from the literal table rows the binomial rule replaced
+        h = hashlib.sha1()
+        for d in range(1, 1029):
+            if d % 7 == 0:
+                continue
+            f, strategy = minimal_family(7, d)
+            h.update(f"7,{d},{strategy},{','.join(map(str, f.coeffs))};".encode())
+        assert h.hexdigest() == "adf4358c70489208deda1ad792c4d398cc82405a"
+
 
 class TestVerifyFamily:
     def test_spot_values(self):
@@ -255,14 +288,19 @@ class TestVerifyFamily:
             curve = BasicCurve.from_poly(p, check.f)
             assert a_number_oracle(curve) == check.a == check.bound, (p, d)
 
-    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("p", [3, 5, 7])
     def test_obstruction_matrices_peel_to_a_tiny_core(self, p):
         # the speed of ranking a family member rests on this: the zero
-        # pattern alone fixes all but at most a 2 x 2 core of its pivots
+        # pattern alone fixes all but at most a 2 x 2 core of its pivots.
+        # The p7_trinomial49 members are the exception: their cores grow
+        # with d (70 x 70 at d = 248) and are eliminated densely.
         for d in [*range(1, 121), 451, 499]:
             if d % p == 0:
                 continue
-            curve = BasicCurve.from_poly(p, minimal_family(p, d)[0])
+            f, strategy = minimal_family(p, d)
+            if strategy == "p7_trinomial49":
+                continue
+            curve = BasicCurve.from_poly(p, f)
             r, c, v = obstruction_coords(curve)
             shape = (curve.dim_obstruction, curve.dim_domain)
             _, live_r, live_c = _peel(r, c, shape)
