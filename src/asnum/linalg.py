@@ -24,13 +24,12 @@ LaMacchia and Odlyzko).  A zero row or column adds nothing to the rank.  A
 column whose only nonzero sits in row r is a multiple of e_r, so column
 operations clear the rest of row r, and rank(A) = 1 + rank(A without row r
 and that column); the same holds for rows.  The obstruction matrices of the
-minimal families are almost empty, and all but the p7_trinomial49 members
-peel to an empty or 2 x 2 core, so their rank costs O(nonzeros) instead of
-a walk over every column; the p7_trinomial49 cores grow with d (305 x 305
-at d = 1011).  A peeling round is one pass over the nonzeros and saves a
-row of elimination per pivot, so the peel stops after a round whose pivots
-times the column count fall below the nonzeros it scanned, and _echelon
-ranks the core that is left.  Only that core is ever made dense, so a
+minimal families are almost empty and peel to an empty core or one of at
+most 4 x 4, so their rank costs O(nonzeros) instead of a walk over every
+column.  A peeling round is one pass over the nonzeros and saves a row of
+elimination per pivot, so the peel stops after a round whose pivots times
+the column count fall below the nonzeros it scanned, and _echelon ranks the
+core that is left.  Only that core is ever made dense, so a
 matrix given in coordinate form costs O(nonzeros) when it is almost empty,
 whatever its shape.
 

@@ -75,13 +75,16 @@ def test_criterion_9_family_p7_up_to_1028():
     # the range the families module claims for p = 7
     start = time.perf_counter()
     total = 0
+    strategies_seen = set()
     for d in range(1, 1029):
         if d % 7 == 0:
             continue
         check = verify_family(7, d)
         assert check.ok, (d, check.a, check.bound, check.strategy)
+        strategies_seen.add(check.strategy)
         total += 1
     assert total == 882
+    assert strategies_seen == {"p7_binomial", "p7_trinomial28", "small_d"}
     print(
         f"ACCEPTANCE 9 p=7 families d<=1028: PASS "
         f"({time.perf_counter() - start:.1f} s)"

@@ -46,6 +46,7 @@ def test_public_names_resolve_and_the_test_reference_is_not_public():
         "bounds.lower_bound_p5_5n1",
         "families.family_p5_mod5",
         "families.MOD5_DEGREES",
+        "families.ROWS",
         "experiments.DRAW_CELLS",
     ]
     for path in gone:

@@ -175,7 +175,7 @@ class TestFamily:
     def test_p7_member(self, capsys):
         code, out, _ = run(capsys, "family", "--p", "7", "--d", "13", "--verify")
         assert code == 0
-        assert out == "f = x^13+2*x^10\nstrategy = p7_trinomial35\na = 20\nL = 20\nok\n"
+        assert out == "f = x^13+x^10+x^4\nstrategy = p7_trinomial28\na = 20\nL = 20\nok\n"
 
     def test_non_prime_p_is_a_usage_error(self, capsys):
         # p = 1 would otherwise skip every degree and report 0/0

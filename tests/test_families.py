@@ -13,7 +13,7 @@ from asnum.anumber import (
 )
 from asnum.bounds import lower_bound_single
 from asnum.curve import BasicCurve
-from asnum.families import ROWS, minimal_family, verify_family
+from asnum.families import _TRINOMIAL, minimal_family, verify_family
 from asnum.fppoly import FpPoly, parse_poly
 from asnum.linalg import _echelon, _peel, coords_rank_nullity
 from reference import family_p5_mod5
@@ -44,11 +44,42 @@ def attaining_binomials(p, d):
     return found
 
 
+def trinomial_cs(p):
+    """The table's {delta: c} for p, empty at a prime without trinomials."""
+    return _TRINOMIAL[p][1] if p in _TRINOMIAL else {}
+
+
 def binomial_row_by_search(p, delta):
     """The (slope, shift) of the unique attaining binomials at m = 1 and 2."""
     (e1,) = attaining_binomials(p, p * p + delta)
     (e2,) = attaining_binomials(p, 2 * p * p + delta)
     return e2 - e1, 2 * e1 - e2
+
+
+def attaining_cs_by_search(p, delta):
+    """Every c in [1, p^2 + p), p not dividing c, such that
+    x^d + x^((d + p(m + k))/2) + x^(p m + c), with k = 1 for odd delta and 2
+    for even delta, has degree d and attains L(d) for d = p^2 m + delta at
+    m = 1, 2 and 3."""
+    k = 1 if delta % 2 else 2
+    found = []
+    for c in range(1, p * p + p):
+        if c % p == 0:
+            continue
+        for m in (1, 2, 3):
+            d = p * p * m + delta
+            low = p * m + c
+            if low >= d:
+                break
+            coeffs = [0] * (d + 1)
+            for e in (d, (d + p * (m + k)) // 2, low):
+                coeffs[e] += 1
+            f = FpPoly(p, coeffs)
+            if a_number_fast(BasicCurve.from_poly(p, f)) != lower_bound_single(p, d):
+                break
+        else:
+            found.append(c)
+    return found
 
 
 def assert_normalized(f, p, d):
@@ -88,7 +119,7 @@ class TestFamilyP5Binomial:
     def test_examples(self):
         assert minimal_family(5, 11) == (poly5("x^11+x^8"), "p5_binomial")
         assert minimal_family(5, 27) == (poly5("x^27+x^16"), "p5_binomial")
-        # residue 3 has no binomial row
+        # residue 3 is a trinomial residue
         assert minimal_family(5, 28)[1] == "p5_trinomial25"
 
     def test_missing_residues(self):
@@ -110,12 +141,12 @@ class TestFamilyP5Binomial:
 class TestFamilyP5Trinomial25:
     def test_examples(self):
         assert minimal_family(5, 28) == (poly5("x^28+x^19+x^6"), "p5_trinomial25")
-        # its row applies, but d = 16 keeps the mod-5 family's trinomial
+        # its shape applies, but d = 16 keeps the mod-5 family's trinomial
         assert minimal_family(5, 16) == (poly5("x^16+x^14+x^9"), "p5_trinomial5")
         assert minimal_family(5, 11)[1] == "p5_binomial"  # binomial residue
 
     def test_low_degree_residue_3_inapplicable(self):
-        # the row's middle exponent 4 would exceed the degree
+        # the shape's middle exponent 4 would exceed the degree
         assert minimal_family(5, 3) == (poly5("x^3+x^2"), "small_d")
 
     def test_shape(self):
@@ -126,21 +157,19 @@ class TestFamilyP5Trinomial25:
 
 class TestFamilyP7:
     def test_small_degrees(self):
-        for d, text in {1: "x", 3: "x^3", 5: "x^5+x^3", 18: "x^18+x^13",
-                        32: "x^32+x^23+x^9"}.items():
+        for d, text in {1: "x", 3: "x^3", 5: "x^5+x^3"}.items():
             assert minimal_family(7, d) == (poly7(text), "small_d"), d
 
     def test_examples(self):
         assert minimal_family(7, 2) == (poly7("x^2+x"), "p7_binomial")
         assert minimal_family(7, 64) == (poly7("x^64+x^39"), "p7_binomial")
         assert minimal_family(7, 54) == (poly7("x^54+x^34+x^10"), "p7_trinomial28")
-        assert minimal_family(7, 75) == (poly7("x^75+x^55+x^27"), "p7_trinomial35")
-        # x^(d - 1) is the row's (49, delta - 1) term
-        assert minimal_family(7, 52) == (poly7("x^52+x^51+x^34"), "p7_trinomial49")
-
-    def test_coinciding_exponents_add(self):
-        # d = 13, m = 0: both lower terms of the (35, 14) row land on x^10
-        assert minimal_family(7, 13) == (poly7("x^13+2*x^10"), "p7_trinomial35")
+        # d = 49 + 26, even delta: (75 + 7 * 3)/2 = 48 and 7 + c(26) = 15
+        assert minimal_family(7, 75) == (poly7("x^75+x^48+x^15"), "p7_trinomial28")
+        # d = 49 + 3, odd delta: (52 + 7 * 2)/2 = 33 and 7 + c(3) = 12
+        assert minimal_family(7, 52) == (poly7("x^52+x^33+x^12"), "p7_trinomial28")
+        # d = 13, m = 0: (13 + 7)/2 = 10 and c(13) = 4
+        assert minimal_family(7, 13) == (poly7("x^13+x^10+x^4"), "p7_trinomial28")
 
     def test_shape(self):
         for d in range(1, 300):
@@ -149,7 +178,8 @@ class TestFamilyP7:
 
 
 class TestTableSearch:
-    """The binomial rule agrees with a fresh search over unit binomials."""
+    """The binomial rule agrees with a fresh search over unit binomials, and
+    each trinomial c with a fresh search over c."""
 
     STRATEGY = {3: "p3", 5: "p5_binomial", 7: "p7_binomial"}
 
@@ -163,14 +193,14 @@ class TestTableSearch:
             assert minimal_family(p, d) == (f, self.STRATEGY[p]), (p, d)
 
     def assert_rule_at_every_binomial_residue(self, p):
-        rows = ROWS.get(p, {})
+        cs = trinomial_cs(p)
         for delta in range(1, p * p):
-            if delta % p and delta not in rows:
+            if delta % p and delta not in cs:
                 self.assert_rule_matches_search(p, delta)
 
     def test_p3_table(self):
-        # p = 3 has no trinomial rows: every residue takes the rule
-        assert 3 not in ROWS
+        # p = 3 has no trinomial residues: every residue takes the rule
+        assert 3 not in _TRINOMIAL
         self.assert_rule_at_every_binomial_residue(3)
 
     def test_p5_binomial_rows(self):
@@ -178,13 +208,20 @@ class TestTableSearch:
 
     @pytest.mark.parametrize("delta", [1, 2, 15])
     def test_p7_binomial_rows(self, delta):
-        assert delta not in ROWS[7]
+        assert delta not in trinomial_cs(7)
         self.assert_rule_matches_search(7, delta)
 
-    def test_table_keeps_only_trinomials(self):
-        for p, rows in ROWS.items():
-            for delta, (strategy, terms) in rows.items():
-                assert len(terms) >= 2, (p, delta, strategy)
+    def test_no_trinomial_residue_is_served_by_the_rule(self):
+        # no c duplicates the rule: no unit binomial attains the bound there
+        for p in _TRINOMIAL:
+            for delta in trinomial_cs(p):
+                assert attaining_binomials(p, p * p + delta) == [], (p, delta)
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_trinomial_cs_match_search(self, p):
+        # exactly one c attains the bound at m = 1, 2 and 3, the table's
+        for delta, c in trinomial_cs(p).items():
+            assert attaining_cs_by_search(p, delta) == [c], (p, delta)
 
 
 class TestFamilyP5Mod5:
@@ -229,8 +266,8 @@ class TestMinimalFamily:
         assert minimal_family(5, 28)[1] == "p5_trinomial25"
         assert minimal_family(5, 16)[1] == "p5_trinomial5"
         assert minimal_family(5, 3)[1] == "small_d"
-        assert minimal_family(7, 17 + 49)[1] == "p7_trinomial49"
-        assert minimal_family(7, 32)[1] == "small_d"
+        assert minimal_family(7, 17 + 49)[1] == "p7_trinomial28"
+        assert minimal_family(7, 32)[1] == "p7_trinomial28"
 
     def test_unsupported_prime(self):
         with pytest.raises(ValueError, match=r"only p in \{3, 5, 7\}"):
@@ -248,14 +285,14 @@ class TestMinimalFamily:
         assert h.hexdigest() == "853a9ae112f99915f26cee8cea8e162194d8cff8"
 
     def test_p7_members_pinned(self):
-        # recorded from the literal table rows the binomial rule replaced
+        # recorded from the binomial rule and the one trinomial shape
         h = hashlib.sha1()
         for d in range(1, 1029):
             if d % 7 == 0:
                 continue
             f, strategy = minimal_family(7, d)
             h.update(f"7,{d},{strategy},{','.join(map(str, f.coeffs))};".encode())
-        assert h.hexdigest() == "adf4358c70489208deda1ad792c4d398cc82405a"
+        assert h.hexdigest() == "da31a513c3050b039c207b62887b40f66836c969"
 
 
 class TestVerifyFamily:
@@ -281,30 +318,31 @@ class TestVerifyFamily:
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_oracle_confirms_family_members(self, p):
         # the independent full-matrix computation agrees on every small member
-        for d in range(1, 41):
+        # and on every trinomial residue at m = 1 and 2
+        trinomials = [p * p * m + delta for m in (1, 2) for delta in trinomial_cs(p)]
+        for d in [*range(1, 41), *trinomials]:
             if d % p == 0:
                 continue
             check = verify_family(p, d)
             curve = BasicCurve.from_poly(p, check.f)
             assert a_number_oracle(curve) == check.a == check.bound, (p, d)
 
+    # (p, d) -> the core of a member that does not peel to an empty one
+    CORES = {(5, 9): (2, 2), (5, 18): (2, 2), (7, 13): (4, 4), (7, 26): (4, 4)}
+
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_obstruction_matrices_peel_to_a_tiny_core(self, p):
         # the speed of ranking a family member rests on this: the zero
-        # pattern alone fixes all but at most a 2 x 2 core of its pivots.
-        # The p7_trinomial49 members are the exception: their cores grow
-        # with d (70 x 70 at d = 248) and are eliminated densely.
+        # pattern alone fixes all its pivots but those of a core of at
+        # most 4 x 4, and almost always all of them
         for d in [*range(1, 121), 451, 499]:
             if d % p == 0:
                 continue
-            f, strategy = minimal_family(p, d)
-            if strategy == "p7_trinomial49":
-                continue
-            curve = BasicCurve.from_poly(p, f)
+            curve = BasicCurve.from_poly(p, minimal_family(p, d)[0])
             r, c, v = obstruction_coords(curve)
             shape = (curve.dim_obstruction, curve.dim_domain)
             _, live_r, live_c = _peel(r, c, shape)
             core_shape = (np.unique(live_r).size, np.unique(live_c).size)
-            assert core_shape[0] * core_shape[1] <= 4, (p, d, core_shape)
+            assert core_shape == self.CORES.get((p, d), (0, 0)), (p, d, core_shape)
             rank = coords_rank_nullity(p, (r, c, v), shape)[0]
             assert rank == _echelon(obstruction_matrix(curve).a, p), (p, d)
