@@ -13,7 +13,7 @@ from asnum.anumber import (
 )
 from asnum.bounds import lower_bound_single
 from asnum.curve import BasicCurve
-from asnum.families import _TRINOMIAL, minimal_family, verify_family
+from asnum.families import _TRINOMIAL, _unit_poly, minimal_family, verify_family
 from asnum.fppoly import FpPoly, parse_poly
 from asnum.linalg import _echelon, _peel, coords_rank_nullity
 from reference import family_p5_mod5
@@ -170,6 +170,14 @@ class TestFamilyP7:
         assert minimal_family(7, 52) == (poly7("x^52+x^33+x^12"), "p7_trinomial28")
         # d = 13, m = 0: (13 + 7)/2 = 10 and c(13) = 4
         assert minimal_family(7, 13) == (poly7("x^13+x^10+x^4"), "p7_trinomial28")
+
+    def test_coinciding_exponents_add(self):
+        # the old d = 13 member x^13 + 2x^10 named x^10 twice; the builder
+        # still adds coinciding exponents, though the shape now gives d = 13
+        # three distinct ones
+        assert _unit_poly(7, (13, 10, 10)) == poly7("x^13+2*x^10")
+        f = minimal_family(7, 13)[0]
+        assert sorted(c for c in f.coeffs if c) == [1, 1, 1]
 
     def test_shape(self):
         for d in range(1, 300):
