@@ -19,9 +19,12 @@ check.
 The power table and the obstruction build take a stack of polynomials of one
 degree, one row each, since every matrix shape depends only on (p, d): the
 survey engine builds a whole chunk of covers in one pass, and a single curve
-is a stack of one.  Both obstruction builds place their columns and rows by
-the layout of BasicCurve (col_start, row_start and its column map).  Only
-the live block of that layout can be nonzero for any f of degree d: the
+is a stack of one.  Inside, both hold the sample axis last, (..., N), so
+each gather and shifted add moves contiguous runs of N entries; the table
+hands on (N, len) views of its powers, and the build returns an
+(N, *live_shape) stack.  Both obstruction builds place their columns and
+rows by the layout of BasicCurve (col_start, row_start and its column map).
+Only the live block of that layout can be nonzero for any f of degree d: the
 level-0 columns lift to themselves, and the correction at level t has degree
 at most live_bound[t], so the rows above it are zero.  The dense build makes
 only the live block, with its compressed rows up to that bound and the
@@ -92,9 +95,12 @@ def _neg_f_power_stack(p: int, coeffs, top: int | None = None) -> list[np.ndarra
     is built in the narrowest integer dtype that holds L * (p-1)^2
     (numutil.narrowest_int_dtype); the same bound covers the products of a
     reduced binomial with a table entry in both matrix builds.  Each power
-    is one shifted add per coefficient column of f that is nonzero in some
-    row, or one np.convolve per row when there are fewer rows than such
-    columns, as for a single large curve; (-f)^1 is -f itself.
+    is built as a (len, N) array, the sample axis last, by one shifted add
+    of whole rows per coefficient column k of f that is nonzero in some row,
+    nxt[k : k + len] += neg[k] * prev, and handed on as its (N, len)
+    transposed view; when there are fewer rows than such columns, as for a
+    single large curve, each power is one np.convolve per row instead.
+    (-f)^1 is -f itself.
     """
     check_int64_sum(len(coeffs[0]), (p - 1) ** 2, "(-f)^e table")
     dtype = narrowest_int_dtype(len(coeffs[0]) * (p - 1) ** 2)
@@ -112,14 +118,16 @@ def _neg_f_power_stack(p: int, coeffs, top: int | None = None) -> list[np.ndarra
                 row.append(_reduce(np.convolve(row[-1], f), p))
             per_row.append(row)
         return [np.array(power) for power in zip(*per_row)]
-    powers = [np.ones((n, 1), dtype=dtype), neg]
+    # sample axis last: each shifted add scales whole contiguous rows
+    neg = np.ascontiguousarray(neg.T)
+    powers = [np.ones((1, n), dtype=dtype), neg]
     for _ in range(1, top):
         prev = powers[-1]
-        nxt = np.zeros((n, prev.shape[1] + length - 1), dtype=dtype)
+        nxt = np.zeros((len(prev) + length - 1, n), dtype=dtype)
         for k in cols:
-            nxt[:, k : k + prev.shape[1]] += neg[:, k, None] * prev
+            nxt[k : k + len(prev)] += neg[k] * prev
         powers.append(_reduce(nxt, p))
-    return powers
+    return [power.T for power in powers]
 
 
 def _check_build_headroom(curve: BasicCurve) -> int:
@@ -168,12 +176,15 @@ def obstruction_stack(curve: BasicCurve, coeffs) -> np.ndarray:
     row u stands for exponent p*u + p - 1, up to live_bound[t].  One
     downward sweep t = top-1 .. 0, top the highest level with columns,
     covers every basis column at once and reads (-f)^e for e <= top; at
-    level t it touches only the columns whose top level is above t.  A source
-    level src adds comb(src, t) * omega[src] * g with g = (-f)^(src-t) in
-    two parts: the unit monomials x^j of the columns topped at src are one
-    gather g[p*u + p - 1 - j], and the compressed components of the higher
-    columns are a shifted-add convolution with g[::p] alone, since only
-    exponents divisible by p move -1 (mod p) onto itself.  The sources run
+    level t it touches only the columns whose top level is above t.  Every
+    array of the sweep holds the sample axis last: the padded powers g are
+    (len, N) and the level blocks (rows, cols, N).  A source level src adds
+    comb(src, t) * omega[src] * g with g = (-f)^(src-t) in two parts: the
+    unit monomials x^j of the columns topped at src are one gather of whole
+    rows of g along axis 0, g[p*u + p - 1 - j], and the compressed
+    components w of the higher columns are a shifted-add convolution with
+    g[::p] alone, sub[k : k + m] += g[::p][k] * w, since only exponents
+    divisible by p move -1 (mod p) onto itself.  The sources run
     from top down to t + 1, so each level's columns are first set by their
     own gather, a plain assignment, before the shifted adds of lower sources
     reach them; g is zero-padded on the left by max(j) - (p - 1) and on the
@@ -182,8 +193,9 @@ def obstruction_stack(curve: BasicCurve, coeffs) -> np.ndarray:
     entry holds one gathered residue and at most p - 2 convolutions, within
     the bound _check_build_headroom checks, so the padded powers and the
     level blocks are in the narrowest integer dtype that holds it; only the
-    returned stack is int64.  With no live rows, as at d <= 2, the stack is
-    zero and nothing is built.
+    returned stack, a transposed copy of the (rows, cols, N) live blocks, is
+    int64.  With no live rows, as at d <= 2, the stack is zero and nothing
+    is built.
     """
     p = curve.p
     dtype = narrowest_int_dtype(_check_build_headroom(curve))
@@ -194,25 +206,26 @@ def obstruction_stack(curve: BasicCurve, coeffs) -> np.ndarray:
     col, live = curve.col_start, curve.live_start
     # the levels with columns are 0 .. top; those above add nothing
     top = max((i for i in range(p) if col[i + 1] > col[i]), default=0)
-    negf = _neg_f_power_stack(p, coeffs, top)
-    n = negf[0].shape[0]
+    # the sample axis last, as in every array below
+    negf = [power.T for power in _neg_f_power_stack(p, coeffs, top)]
+    n = negf[0].shape[1]
     # each level's column exponents, by BasicCurve's column map
     exps = [k + k // (p - 1) for k in map(np.arange, np.diff(col))]
-    out = np.zeros((n, *shape), dtype=np.int64)
+    out = np.zeros((*shape, n), dtype=dtype)
     # comp[t]: compressed level-t components of the columns col[t+1]: onwards
-    comp = [np.zeros((n, 0, 0), dtype=dtype)] * p
+    comp = [np.zeros((0, 0, n), dtype=dtype)] * p
     for t in range(top - 1, -1, -1):
         base = col[t + 1]
         rows = (curve.live_bound[t] + 1) // p
         # every column is first written by its own level's gather
-        acc = np.empty((n, rows, col[p] - base), dtype=dtype)
+        acc = np.empty((rows, col[p] - base, n), dtype=dtype)
         for src in range(top, t, -1):
-            # g[:, left + i] is the coefficient of x^i in comb(src, t) *
+            # g[left + i] is the coefficient of x^i in comb(src, t) *
             # (-f)^(src-t), zero-padded so that every unit gather is in range
             left = max(int(exps[src][-1]) - (p - 1), 0) if len(exps[src]) else 0
-            power = negf[src - t][:, : p * rows]
-            g = np.zeros((n, left + p * rows), dtype=dtype)
-            seg = g[:, left : left + power.shape[1]]
+            power = negf[src - t][: p * rows]
+            g = np.zeros((left + p * rows, n), dtype=dtype)
+            seg = g[left : left + len(power)]
             seg[...] = power
             scale = math.comb(src, t) % p
             if scale != 1:
@@ -220,22 +233,22 @@ def obstruction_stack(curve: BasicCurve, coeffs) -> np.ndarray:
                 _reduce(seg, p)
             if len(exps[src]):
                 idx = p * np.arange(rows)[:, None] + (p - 1 + left) - exps[src]
-                acc[:, :, col[src] - base : col[src + 1] - base] = np.take(g, idx, axis=1)
+                acc[:, col[src] - base : col[src + 1] - base] = np.take(g, idx, axis=0)
             w = comp[src]
             if w.size:
-                m = w.shape[1]
-                sub = acc[:, :, col[src + 1] - base :]
-                gp = g[:, left::p]
-                for k in np.flatnonzero(gp.any(axis=0)).tolist():
-                    sub[:, k : k + m] += gp[:, k, None, None] * w
+                m = len(w)
+                sub = acc[:, col[src + 1] - base :]
+                gp = g[left::p]
+                for k in np.flatnonzero(gp.any(axis=1)).tolist():
+                    sub[k : k + m] += gp[k] * w
         # -acc mod p, as p - (acc mod p) reduced once more
         np.subtract(p, _reduce(acc, p), out=acc)
         _reduce(acc, p)
         comp[t] = acc
         if live[t + 1] > live[t]:
             u = (curve.slot_start[t] - (p - 1)) // p
-            out[:, live[t] : live[t + 1], base - col[1] :] = acc[:, u : u + live[t + 1] - live[t]]
-    return out
+            out[live[t] : live[t + 1], base - col[1] :] = acc[u : u + live[t + 1] - live[t]]
+    return np.ascontiguousarray(out.transpose(2, 0, 1), dtype=np.int64)
 
 
 def _merge(keys: np.ndarray, values: np.ndarray, p: int, sign: int = 1):

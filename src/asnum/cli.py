@@ -124,7 +124,17 @@ def _histogram(dist) -> None:
 def cmd_experiment(args) -> int:
     if args.out and args.format == "text":
         raise ValueError("--out requires --format csv or json")
-    dist = distribution(args.p, args.d, args.n, args.seed, threads=args.threads)
+    made = False
+    if args.out:
+        # a path that cannot be written fails here, before the survey
+        made = not os.path.exists(args.out)
+        open(args.out, "a").close()
+    try:
+        dist = distribution(args.p, args.d, args.n, args.seed, threads=args.threads)
+    except BaseException:
+        if made:
+            os.remove(args.out)
+        raise
     if args.format == "text":
         _histogram(dist)
         return 0

@@ -20,11 +20,13 @@ matrix has a layout fixed by (p, d), which the BasicCurve of x^d carries; a
 survey builds that curve once (once per worker job) and passes it on.  So a
 chunk is checked for normalization with one vectorized test, built as one
 obstruction stack and ranked by one stacked elimination; no FpPoly or
-BasicCurve is made per sample.  The stack holds only the live blocks
-(BasicCurve), the part of each matrix that can be nonzero, so
-a = dim_domain - rank of the live block.  A chunk holds at most CHUNK_ROWS
-samples and CHUNK_CELLS live-block cells, so memory stays flat for any n,
-and chunk boundaries change no result.
+BasicCurve is made per sample.  The build and the elimination each hold the
+sample axis last inside, (..., N), so their numpy calls walk contiguous
+memory; the stack passes between them as (N, rows, cols).  The stack holds
+only the live blocks (BasicCurve), the part of each matrix that can be
+nonzero, so a = dim_domain - rank of the live block.  A chunk holds at most
+CHUNK_ROWS samples and CHUNK_CELLS live-block cells, so memory stays flat for
+any n, and chunk boundaries change no result.
 """
 
 import json
@@ -54,15 +56,15 @@ DEFAULT_EXHAUSTIVE_CAP = 10**6
 # An engine chunk holds at most CHUNK_ROWS samples and CHUNK_CELLS
 # live-block cells (8 MB of int64 per stack).  The per-chunk numpy calls
 # dominate on the small live blocks of (3, 17) and (5, 11), 4x4 and 11x11.
-# Median per sample over 7 interleaved surveys of 8192 samples, on a shared
-# 2-core VM, at 128 / 512 / 1024 / 2048 samples per chunk: (3, 17) 6.5 /
-# 4.2 / 3.4 / 3.4 us, (5, 11) 15.7 / 10.4 / 12.0 / 12.4 us; a chunk of
-# 1024 at (5, 11) holds 1 MB.  Matrices of a few hundred rows gain from
-# chunks of several samples up to the cell cap.  The seeded draw
-# (asnum._seeded), one per chunk, costs mostly numpy calls made once per
-# draw: 2.8 us per sample in draws of 128 samples at (3, 17), 1.0 us from
-# about 600 on.
-CHUNK_ROWS = 1024
+# Median per sample over 15 interleaved surveys of 8192 samples, on a
+# shared 2-core VM, at 128 / 512 / 1024 / 2048 / 4096 samples per chunk:
+# (3, 17) 6.8 / 2.9 / 2.0 / 1.8 / 1.9 us, (5, 11) 9.5 / 4.0 / 3.2 / 2.5 /
+# 2.4 us; the int64 stack of a chunk of 2048 at (5, 11) holds 2 MB.
+# Matrices of a few hundred rows gain from chunks of several samples up to
+# the cell cap.  The seeded draw (asnum._seeded), one per chunk, costs
+# mostly numpy calls made once per draw: 2.8 us per sample in draws of 128
+# samples at (3, 17), 1.0 us from about 600 on.
+CHUNK_ROWS = 2048
 CHUNK_CELLS = 2**20
 
 

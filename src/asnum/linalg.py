@@ -35,8 +35,11 @@ whatever its shape.
 
 stack_ranks is a second, independent elimination for the survey engine: it
 ranks a whole stack of small matrices at once, so numpy's per-call cost is
-paid per column of the stack instead of per column of every matrix.  On a
-single matrix it is slower than _echelon, so the single-matrix body keeps
+paid per column of the stack instead of per column of every matrix.  It
+works on a copy that holds the sample axis last, (rows, cols, N), so each
+row it updates is one contiguous run per column, in the narrowest integer
+dtype that holds (p-1)^2 + p, and reduces by a - p*(a // p).  On a single
+matrix it is slower than _echelon, so the single-matrix body keeps
 _echelon.
 """
 
@@ -195,39 +198,53 @@ def _echelon(a: np.ndarray, p: int) -> int:
 def stack_ranks(a: np.ndarray, p: int) -> np.ndarray:
     """Ranks of the matrices a[k] of an (N, rows, cols) stack of residues mod p.
 
-    Eliminates in place, column by column for the whole stack: each matrix
-    picks its first nonzero row among those not yet used as pivots (masked
-    argmax), retires it through the free mask instead of swapping it up, and
-    clears that column from its other free rows by cross-multiplication,
-    lead * row - row[c] * pivot_row, which needs no inverse.  Only the union
-    over the stack of rows that need clearing is touched.
+    ``a`` is not written to: the elimination runs on a copy with the sample
+    axis last, (rows, cols, N), column by column for the whole stack.  Each
+    matrix picks its first nonzero row among those not yet used as pivots
+    (masked argmax over axis 0), retires it through the free mask instead of
+    swapping it up, and clears that column from its other free rows by
+    cross-multiplication, lead * row - row[c] * pivot_row, which needs no
+    inverse.  Only the union over the stack of rows that need clearing is
+    updated; updating the whole block instead was slower.  Both products are
+    residue products, at most (p-1)^2, so the copy is in the narrowest
+    integer dtype that holds (p-1)^2 + p (numutil.narrowest_int_dtype), and
+    each update is reduced as a - p*(a // p): numpy vectorizes the integer
+    floor division, not the integer %, and the floor keeps it exact for
+    negative a.
     """
     # both products and their difference stay within (p-1)^2 in magnitude
     check_int64_sum(1, (p - 1) ** 2, "stacked elimination")
     n, rows, cols = a.shape
+    # a copy with the sample axis last, (rows, cols, N)
+    a = a.transpose(1, 2, 0).astype(narrowest_int_dtype((p - 1) ** 2 + p), order="C")
     ranks = np.zeros(n, dtype=np.int64)
-    free = np.ones((n, rows), dtype=bool)
+    free = np.ones((rows, n), dtype=bool)
     at = np.arange(n)
+    # the pivot rows' entries are a[piv[k], j, k] = flat[piv[k] * cols * N + pos[j, k]]
+    flat, pos = a.reshape(-1), np.arange(cols)[:, None] * n + at
     for c in range(cols):
-        cand = free & (a[:, :, c] != 0)
-        has = cand.any(axis=1)
+        cand = free & (a[:, c] != 0)
+        has = cand.any(axis=0)
         if not has.any():
             continue
-        piv = cand.argmax(axis=1)
+        piv = cand.argmax(axis=0)
         ranks += has
-        free[at[has], piv[has]] = False
+        free[piv[has], at[has]] = False
         cand &= free
-        need = np.flatnonzero(cand.any(axis=0))
+        need = np.flatnonzero(cand.any(axis=1))
         if need.size == 0:
             continue
-        prow = a[at, piv, c:]
-        lead = np.where(has, prow[:, 0], 1)
-        block = a[:, need, c:]
-        fac = block[:, :, 0] * cand[:, need]
-        block *= lead[:, None, None]
-        block -= fac[:, :, None] * prow[:, None, :]
-        block %= p
-        a[:, need, c:] = block
+        prow = flat[piv * (cols * n) + pos[c:]]
+        lead = np.where(has, prow[0], 1)
+        block = a[need, c:]
+        fac = block[:, 0] * cand[need]
+        block *= lead
+        block -= fac[:, None] * prow
+        # a - p * (a // p): floor division is vectorized and exact for a < 0
+        q = block // p
+        q *= p
+        block -= q
+        a[need, c:] = block
     return ranks
 
 

@@ -233,6 +233,36 @@ class TestExperiment:
         assert (code, err) == (1, "error: --out requires --format csv or json\n")
         assert not (tmp_path / "x.txt").exists()
 
+    def test_unwritable_out_fails_before_surveying(self, capsys, monkeypatch, tmp_path):
+        def survey(*args, **kwargs):
+            pytest.fail("experiment surveyed before checking --out")
+
+        monkeypatch.setattr(asnum.cli, "distribution", survey)
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(
+            capsys, "experiment", "--p", "5", "--d", "11", "--n", "3",
+            "--format", "json", "--out", str(target),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: [Errno 2]") and err.count("\n") == 1
+        assert not target.parent.exists()
+
+    def test_failed_survey_leaves_no_file(self, capsys, monkeypatch, tmp_path):
+        def survey(*args, **kwargs):
+            raise ValueError("survey failed")
+
+        monkeypatch.setattr(asnum.cli, "distribution", survey)
+        target, kept = tmp_path / "x.json", tmp_path / "kept.csv"
+        kept.write_text("old\n")
+        for path, fmt in ((target, "json"), (kept, "csv")):
+            code, _, err = run(
+                capsys, "experiment", "--p", "5", "--d", "11", "--n", "3",
+                "--format", fmt, "--out", str(path),
+            )
+            assert (code, err) == (1, "error: survey failed\n")
+        assert not target.exists()
+        assert kept.read_text() == "old\n"
+
     def test_threads_flag(self, capsys):
         code, out, _ = run(
             capsys, "experiment", "--p", "3", "--d", "4", "--n", "20",

@@ -10,7 +10,7 @@ import pytest
 import asnum.experiments
 from asnum.bounds import lower_bound_single
 from asnum.curve import BasicCurve
-from asnum.anumber import a_number_fast
+from asnum.anumber import a_number_fast, a_number_oracle, obstruction_stack
 from asnum._seeded import bounded_draws
 from asnum.experiments import (
     Distribution,
@@ -30,6 +30,7 @@ from asnum.experiments import (
     _shape,
 )
 from asnum.fppoly import FpPoly
+from asnum.linalg import stack_ranks
 
 
 def set_chunk_rows(monkeypatch, p, d, rows):
@@ -347,6 +348,17 @@ class TestEngine:
                     for row in rows
                 ]
                 assert a.tolist() == expect, (p, d)
+
+    @pytest.mark.parametrize("p, d", [(3, 17), (5, 11), (7, 30)])
+    def test_whole_chunks_match_the_oracle(self, p, d):
+        # the Cartier oracle shares only the single-row np.convolve power
+        # table with the engine, whose chunks take the shifted adds
+        shape = _shape(p, d)
+        rows = _seeded_rows(p, d, 11 * p + d, 0, 64)
+        a = shape.dim_domain - stack_ranks(obstruction_stack(shape, rows), p)
+        expect = [a_number_oracle(BasicCurve.from_poly(p, FpPoly(p, row.tolist()))) for row in rows]
+        assert a.tolist() == expect, (p, d)
+        assert len(set(expect)) > 1, (p, d)
 
     @pytest.mark.parametrize("rows", [1, 7, None])
     def test_tallies_independent_of_chunk_boundaries(self, monkeypatch, rows):

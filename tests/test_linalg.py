@@ -278,6 +278,29 @@ def test_stack_ranks_match_rank_nullity(p):
             assert stack_ranks(stack, p).tolist() == expect, (rows, cols, inner)
 
 
+# stack_ranks' copy is int16 while (p-1)^2 + p fits, else int32, else int64:
+# 181 and 191 are the primes on each side of the int16 -> int32 edge
+@pytest.mark.parametrize("p, dtype", [(181, np.int16), (191, np.int32), (EDGE_P, np.int64)])
+def test_stack_ranks_dtype_edges(p, dtype, monkeypatch):
+    assert narrowest_int_dtype((p - 1) ** 2 + p) is dtype
+    rng = np.random.default_rng(p % 1000)
+    for rows, cols in ((4, 4), (5, 9), (9, 5), (12, 12)):
+        for inner in (1, 3, max(rows, cols)):
+            # products in Python ints: at EDGE_P they pass int64
+            left = rng.integers(0, p, size=(12, rows, inner)).astype(object)
+            right = rng.integers(0, p, size=(12, inner, cols)).astype(object)
+            stack = ((left @ right) % p).astype(np.int64)
+            stack[::5] = 0
+            before = stack.copy()
+            expect = [rank_nullity(FpMatrix(p, m))[0] for m in stack]
+            assert stack_ranks(stack, p).tolist() == expect, (rows, cols, inner)
+            assert np.array_equal(stack, before)
+            with monkeypatch.context() as m:
+                m.setattr(asnum.linalg, "narrowest_int_dtype", lambda bound: np.int64)
+                assert stack_ranks(stack, p).tolist() == expect, (rows, cols, inner)
+                assert np.array_equal(stack, before)
+
+
 def test_empty_matrix_edges():
     for rank in RANKS:
         assert rank(5, np.zeros((0, 3), dtype=np.int64)) == (0, 3)
