@@ -22,8 +22,10 @@ survey engine builds a whole chunk of covers in one pass, and a single curve
 is a stack of one.  Inside, both hold the sample axis last, (..., N), so
 each gather and shifted add moves contiguous runs of N entries; the table
 hands on (N, len) views of its powers, and the build returns an
-(N, *live_shape) stack.  Both obstruction builds place their columns and
-rows by the layout of BasicCurve (col_start, row_start and its column map).
+(N, *live_shape) stack.  The build reads only the Layout of (p, d) (a
+curve is one), so a survey passes one layout for the whole chunk.  Both
+obstruction builds place their columns and rows by it (col_start,
+row_start and its column map).
 Only the live block of that layout can be nonzero for any f of degree d: the
 level-0 columns lift to themselves, and the correction at level t has degree
 at most live_bound[t], so the rows above it are zero.  The dense build makes
@@ -61,7 +63,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .bounds import lower_bound_single
-from .curve import BasicCurve
+from .curve import BasicCurve, Layout
 from .linalg import FpMatrix, rank_nullity
 from .numutil import check_cells, check_int64_sum, narrowest_int_dtype
 
@@ -130,7 +132,7 @@ def _neg_f_power_stack(p: int, coeffs, top: int | None = None) -> list[np.ndarra
     return [power.T for power in powers]
 
 
-def _check_build_headroom(curve: BasicCurve) -> int:
+def _check_build_headroom(layout: Layout) -> int:
     """Raise HeadroomError unless the obstruction builds' int64 sums fit, and
     return the bound they are checked against.
 
@@ -138,8 +140,8 @@ def _check_build_headroom(curve: BasicCurve) -> int:
     exponent p*u + p - 1), and each entry adds at most p - 1 sources of that
     many products below p^2.
     """
-    p = curve.p
-    rows = max((curve.comp_bound[0] + 1) // p, 0)
+    p = layout.p
+    rows = max((layout.comp_bound[0] + 1) // p, 0)
     check_int64_sum((p - 1) * rows, (p - 1) ** 2, "obstruction build")
     return (p - 1) * rows * (p - 1) ** 2
 
@@ -147,9 +149,9 @@ def _check_build_headroom(curve: BasicCurve) -> int:
 def obstruction_matrix(curve: BasicCurve) -> FpMatrix:
     """Matrix of the obstruction map over the kernel-tuple basis.
 
-    Columns and rows follow the curve's layout (BasicCurve: col_start,
+    Columns and rows follow the curve's layout (Layout: col_start,
     row_start).  The live block is built as a stack of one by
-    obstruction_stack and set in zeros at its place (BasicCurve: live_start).
+    obstruction_stack and set in zeros at its place (Layout: live_start).
     """
     _check_build_headroom(curve)
     shape = (curve.dim_obstruction, curve.dim_domain)
@@ -163,14 +165,14 @@ def obstruction_matrix(curve: BasicCurve) -> FpMatrix:
     return FpMatrix._of_residues(curve.p, mat)
 
 
-def obstruction_stack(curve: BasicCurve, coeffs) -> np.ndarray:
+def obstruction_stack(layout: Layout, coeffs) -> np.ndarray:
     """Live blocks of the obstruction matrices of y^p - y = f, f the rows of ``coeffs``.
 
-    The rows are polynomials of degree curve.d over F_p; the layout depends
-    only on (p, d), so ``curve`` supplies it and the result is an
-    (N, *curve.live_shape) int64 stack, the same arithmetic for every row;
+    The rows are polynomials of degree layout.d over F_p; the layout depends
+    only on (p, d), so ``layout`` supplies it and the result is an
+    (N, *layout.live_shape) int64 stack, the same arithmetic for every row;
     each live block must stay within numutil.MAX_CELLS.  Outside the live
-    block (BasicCurve) the matrices are zero, so a rank of the stack is the
+    block (Layout) the matrices are zero, so a rank of the stack is the
     rank of the full matrix.  Below its top level a reconstructed component
     lives on exponents = -1 (mod p) only, so level t is stored compressed:
     row u stands for exponent p*u + p - 1, up to live_bound[t].  One
@@ -197,26 +199,26 @@ def obstruction_stack(curve: BasicCurve, coeffs) -> np.ndarray:
     int64.  With no live rows, as at d <= 2, the stack is zero and nothing
     is built.
     """
-    p = curve.p
-    dtype = narrowest_int_dtype(_check_build_headroom(curve))
-    shape = curve.live_shape
+    p = layout.p
+    dtype = narrowest_int_dtype(_check_build_headroom(layout))
+    shape = layout.live_shape
     check_cells(*shape, "obstruction matrix")
     if shape[0] == 0:
         return np.zeros((len(coeffs), *shape), dtype=np.int64)
-    col, live = curve.col_start, curve.live_start
+    col, live = layout.col_start, layout.live_start
     # the levels with columns are 0 .. top; those above add nothing
     top = max((i for i in range(p) if col[i + 1] > col[i]), default=0)
     # the sample axis last, as in every array below
     negf = [power.T for power in _neg_f_power_stack(p, coeffs, top)]
     n = negf[0].shape[1]
-    # each level's column exponents, by BasicCurve's column map
+    # each level's column exponents, by the Layout's column map
     exps = [k + k // (p - 1) for k in map(np.arange, np.diff(col))]
     out = np.zeros((*shape, n), dtype=dtype)
     # comp[t]: compressed level-t components of the columns col[t+1]: onwards
     comp = [np.zeros((0, 0, n), dtype=dtype)] * p
     for t in range(top - 1, -1, -1):
         base = col[t + 1]
-        rows = (curve.live_bound[t] + 1) // p
+        rows = (layout.live_bound[t] + 1) // p
         # every column is first written by its own level's gather
         acc = np.empty((rows, col[p] - base, n), dtype=dtype)
         for src in range(top, t, -1):
@@ -246,7 +248,7 @@ def obstruction_stack(curve: BasicCurve, coeffs) -> np.ndarray:
         _reduce(acc, p)
         comp[t] = acc
         if live[t + 1] > live[t]:
-            u = (curve.slot_start[t] - (p - 1)) // p
+            u = (layout.slot_start[t] - (p - 1)) // p
             out[live[t] : live[t + 1], base - col[1] :] = acc[u : u + live[t + 1] - live[t]]
     return np.ascontiguousarray(out.transpose(2, 0, 1), dtype=np.int64)
 

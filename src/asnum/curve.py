@@ -1,21 +1,31 @@
 """Validated model of a cover y^p - y = f of the line branched only at infinity.
 
 A differential on the cover is a tuple of line differentials, one per power
-of y.  All the per-level integer data needed downstream is derived here once:
-degree caps for regular components, degree caps for reconstructed components,
-the "obstruction" exponents in between, and the obstruction matrix's layout.
+of y.  Every matrix shape downstream depends only on (p, d), never on f, so
+the per-level integer data is a Layout, derived once per (p, d) by layout():
+degree caps for regular components, degree caps for reconstructed
+components, the "obstruction" exponents in between, and the obstruction
+matrix's layout.  A BasicCurve is the layout of its degree plus f.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 
 from .fppoly import FpPoly, normalize_artin_schreier
 from .numutil import ceil_div
 
+# Layouts layout() keeps: one family sweep meets 734 degrees at p <= 5, or
+# 881 at p = 7 up to d = 1028.  An entry is a dozen tuples of about p ints:
+# with the cache's own bookkeeping, tracemalloc counted 0.8-0.9 KB at
+# (3, 17), 2.6-2.7 KB at (7, 1000) and 89 KB at (503, 3), so a full cache
+# holds about 3 MB at p = 7.
+LAYOUT_CACHE = 1024
+
 
 @dataclass(frozen=True)
-class BasicCurve:
-    """y^p - y = f with f normalized, plus derived integer data.
+class Layout:
+    """The integer data of every cover y^p - y = f with f of degree d.
 
     Per level i (the coefficient of y^i in a differential on the cover):
 
@@ -51,7 +61,6 @@ class BasicCurve:
     """
 
     p: int
-    f: FpPoly
     d: int
     reg_bound: tuple[int, ...]
     comp_bound: tuple[int, ...]
@@ -75,52 +84,72 @@ class BasicCurve:
     def live_shape(self) -> tuple[int, int]:
         return self.live_start[-1], self.dim_domain - self.col_start[1]
 
+
+def genus(p: int, d: int) -> int:
+    """Genus of y^p - y = f with f of degree d, by Riemann-Hurwitz: O(1),
+    where layout() takes O(p) work and memory."""
+    return (p - 1) * (d - 1) // 2
+
+
+@lru_cache(maxsize=LAYOUT_CACHE)
+def layout(p: int, d: int) -> Layout:
+    """The Layout of degree d over F_p, one object per (p, d) while cached.
+
+    Raises ValueError when p divides d.
+    """
+    if d % p == 0:
+        raise ValueError("ramification invariant divisible by p")
+    reg = tuple(ceil_div((p - 1 - i) * d, p) - 2 for i in range(p))
+    comp = tuple((p - 1 - i) * d - 2 for i in range(p))
+    # the first e = -1 (mod p) above reg_bound, and how many fit up to comp_bound
+    first = [b + 1 + (p - 2 - b) % p for b in reg]
+    counts = [max((c - s) // p + 1, 0) for s, c in zip(first, comp)]
+    # level i offers the b + 1 exponents 0 .. b = reg_bound[i] less the
+    # (b + 1) // p of them that are -1 (mod p)
+    cols = [max(b + 1 - (b + 1) // p, 0) for b in reg]
+    # live_bound[t] = d + max(top column exponent of level t + 1,
+    # live_bound[t + 1]), over what exists; -1 when neither does
+    live = [-1] * p
+    for t in range(p - 2, -1, -1):
+        k = cols[t + 1] - 1
+        top = k + k // (p - 1) if k >= 0 else -1
+        higher = max(top, live[t + 1])
+        live[t] = higher + d if higher >= 0 else -1
+    # the live obstruction exponents of level t run up to live_bound[t]
+    live_rows = (
+        max(min((b - s) // p + 1, n), 0)
+        for b, s, n in zip(live, first, counts)
+    )
+    return Layout(
+        p=p,
+        d=d,
+        reg_bound=reg,
+        comp_bound=comp,
+        slot_start=tuple(s if n else None for s, n in zip(first, counts)),
+        slot_count=tuple(counts),
+        genus=genus(p, d),
+        col_start=tuple(accumulate(cols, initial=0)),
+        row_start=tuple(accumulate(counts, initial=0)),
+        live_bound=tuple(live),
+        live_start=tuple(accumulate(live_rows, initial=0)),
+    )
+
+
+@dataclass(frozen=True)
+class BasicCurve(Layout):
+    """y^p - y = f with f normalized: the Layout of its degree, plus f."""
+
+    f: FpPoly
+
     @classmethod
     def from_poly(cls, p: int, f: FpPoly) -> "BasicCurve":
-        """Normalize f and fill in the derived data.
+        """Normalize f and take the layout of its degree.
 
         Raises SplitCoverError when f reduces to a^p - a.  The normalized
         polynomial never has degree divisible by p (such monomials are folded
-        away), but the guard is kept as a cheap sanity check.
+        away), but layout() keeps that guard as a cheap sanity check.
         """
         if f.p != p:
             raise ValueError(f"polynomial is over F_{f.p}, expected F_{p}")
         g = normalize_artin_schreier(f)
-        d = int(g.degree)
-        if d % p == 0:
-            raise ValueError("ramification invariant divisible by p")
-        reg = tuple(ceil_div((p - 1 - i) * d, p) - 2 for i in range(p))
-        comp = tuple((p - 1 - i) * d - 2 for i in range(p))
-        # the first e = -1 (mod p) above reg_bound, and how many fit up to comp_bound
-        first = [b + 1 + (p - 2 - b) % p for b in reg]
-        counts = [max((c - s) // p + 1, 0) for s, c in zip(first, comp)]
-        # level i offers the b + 1 exponents 0 .. b = reg_bound[i] less the
-        # (b + 1) // p of them that are -1 (mod p)
-        cols = [max(b + 1 - (b + 1) // p, 0) for b in reg]
-        # live_bound[t] = d + max(top column exponent of level t + 1,
-        # live_bound[t + 1]), over what exists; -1 when neither does
-        live = [-1] * p
-        for t in range(p - 2, -1, -1):
-            k = cols[t + 1] - 1
-            top = k + k // (p - 1) if k >= 0 else -1
-            higher = max(top, live[t + 1])
-            live[t] = higher + d if higher >= 0 else -1
-        # the live obstruction exponents of level t run up to live_bound[t]
-        live_rows = (
-            max(min((b - s) // p + 1, n), 0)
-            for b, s, n in zip(live, first, counts)
-        )
-        return cls(
-            p=p,
-            f=g,
-            d=d,
-            reg_bound=reg,
-            comp_bound=comp,
-            slot_start=tuple(s if n else None for s, n in zip(first, counts)),
-            slot_count=tuple(counts),
-            genus=(p - 1) * (d - 1) // 2,
-            col_start=tuple(accumulate(cols, initial=0)),
-            row_start=tuple(accumulate(counts, initial=0)),
-            live_bound=tuple(live),
-            live_start=tuple(accumulate(live_rows, initial=0)),
-        )
+        return cls(**vars(layout(p, int(g.degree))), f=g)

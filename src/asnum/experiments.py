@@ -16,14 +16,14 @@ and _draw) is its reference, and draws the few rows the batch cannot.
 
 The survey engine, _a_numbers, works on chunks: (N, d+1) arrays of
 coefficient rows, drawn or enumerated in index order.  The obstruction
-matrix has a layout fixed by (p, d), which the BasicCurve of x^d carries; a
-survey builds that curve once (once per worker job) and passes it on.  So a
+matrix has a layout fixed by (p, d), the cached curve.layout(p, d); a
+survey takes it once (once per worker job) and passes it on.  So a
 chunk is checked for normalization with one vectorized test, built as one
 obstruction stack and ranked by one stacked elimination; no FpPoly or
 BasicCurve is made per sample.  The build and the elimination each hold the
 sample axis last inside, (..., N), so their numpy calls walk contiguous
 memory; the stack passes between them as (N, rows, cols).  The stack holds
-only the live blocks (BasicCurve), the part of each matrix that can be
+only the live blocks (Layout), the part of each matrix that can be
 nonzero, so a = dim_domain - rank of the live block.  A chunk holds at most
 CHUNK_ROWS samples and CHUNK_CELLS live-block cells, so memory stays flat for
 any n, and chunk boundaries change no result.
@@ -41,7 +41,7 @@ import numpy as np
 from ._seeded import bounded_draws
 from .anumber import obstruction_stack
 from .bounds import lower_bound_single
-from .curve import BasicCurve
+from .curve import Layout, genus, layout
 from .fppoly import FpPoly
 from .linalg import stack_ranks
 from .numutil import ceil_div, check_degree
@@ -153,7 +153,7 @@ class Distribution:
             raise ValueError("counts do not sum to n_samples")
         if self.counts and min(self.counts) < lower_bound_single(self.p, self.d):
             raise ValueError("tally contains an a-number below the lower bound")
-        if self.counts and max(self.counts) > (self.p - 1) * (self.d - 1) // 2:
+        if self.counts and max(self.counts) > genus(self.p, self.d):
             raise ValueError("tally contains an a-number above the genus")
 
     def _record(self) -> dict:
@@ -234,12 +234,7 @@ class Distribution:
         return cls._from_record(record)
 
 
-def _shape(p: int, d: int) -> BasicCurve:
-    """The cover y^p - y = x^d: its derived data is that of every degree-d cover."""
-    return BasicCurve.from_poly(p, FpPoly.monomial(p, d))
-
-
-def _chunk_rows(shape: BasicCurve) -> int:
+def _chunk_rows(shape: Layout) -> int:
     """Samples per engine chunk at the shape's (p, d): within CHUNK_ROWS and
     CHUNK_CELLS of the live blocks, at least one."""
     rows, cols = shape.live_shape
@@ -263,7 +258,7 @@ def _seeded_rows(p: int, d: int, seed: int, lo: int, hi: int) -> np.ndarray:
     return rows
 
 
-def _random_chunks(shape: BasicCurve, seed: int, lo: int, hi: int):
+def _random_chunks(shape: Layout, seed: int, lo: int, hi: int):
     """The seeded samples with indices lo <= index < hi, in index order, as
     chunks, each one batched draw."""
     size = _chunk_rows(shape)
@@ -271,7 +266,7 @@ def _random_chunks(shape: BasicCurve, seed: int, lo: int, hi: int):
         yield _seeded_rows(shape.p, shape.d, seed, start, min(start + size, hi))
 
 
-def _all_chunks(shape: BasicCurve):
+def _all_chunks(shape: Layout):
     """Every normalized degree-d polynomial as chunks, in enumeration order.
 
     Candidate k is the mixed-radix number (leading coefficient - 1, then the
@@ -290,7 +285,7 @@ def _all_chunks(shape: BasicCurve):
         yield rows
 
 
-def _a_numbers(shape: BasicCurve, chunks):
+def _a_numbers(shape: Layout, chunks):
     """The survey engine: (rows, a-numbers) for each chunk of coefficient rows.
 
     Each chunk is an (N, d+1) int64 array of normalized polynomials f of
@@ -310,7 +305,7 @@ def _a_numbers(shape: BasicCurve, chunks):
         yield rows, shape.dim_domain - stack_ranks(obstruction_stack(shape, rows), p)
 
 
-def _tally(shape: BasicCurve, seed: int, lo: int, hi: int) -> Counter:
+def _tally(shape: Layout, seed: int, lo: int, hi: int) -> Counter:
     counts = Counter()
     for _, a in _a_numbers(shape, _random_chunks(shape, seed, lo, hi)):
         counts.update(a.tolist())
@@ -320,7 +315,7 @@ def _tally(shape: BasicCurve, seed: int, lo: int, hi: int) -> Counter:
 def _tally_range(args) -> Counter:
     """A worker job: the tally of samples lo .. hi-1, on its own shape."""
     p, d, seed, lo, hi = args
-    return _tally(_shape(p, d), seed, lo, hi)
+    return _tally(layout(p, d), seed, lo, hi)
 
 
 def distribution(
@@ -334,7 +329,7 @@ def distribution(
     """
     _check_request(p, d, n_samples, seed)
     start = time.perf_counter()
-    shape = _shape(p, d)
+    shape = layout(p, d)
     size = _chunk_rows(shape)
     threads = min(threads, os.cpu_count() or 1, ceil_div(n_samples, size))
     if threads <= 1:
@@ -373,7 +368,7 @@ class SearchResult:
     candidates_tested: int
 
 
-def _search(shape: BasicCurve, chunks, exhaustive: bool) -> SearchResult:
+def _search(shape: Layout, chunks, exhaustive: bool) -> SearchResult:
     """Minimum a-number over the candidates; the first to attain it is the witness."""
     p, d = shape.p, shape.d
     best_a = None
@@ -401,12 +396,12 @@ def min_a_exhaustive(p: int, d: int, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> Searc
             f"search space has {total} candidates, above the cap of {cap}; "
             f"use min_a_random instead"
         )
-    shape = _shape(p, d)
+    shape = layout(p, d)
     return _search(shape, _all_chunks(shape), exhaustive=True)
 
 
 def min_a_random(p: int, d: int, n_samples: int, seed: int) -> SearchResult:
     """Minimum a-number over n_samples random covers: an upper bound for the true minimum."""
     _check_request(p, d, n_samples, seed)
-    shape = _shape(p, d)
+    shape = layout(p, d)
     return _search(shape, _random_chunks(shape, seed, 0, n_samples), exhaustive=False)

@@ -46,12 +46,6 @@ class FpPoly:
     def one(cls, p: int) -> "FpPoly":
         return cls(p, (1,))
 
-    @classmethod
-    def monomial(cls, p: int, exponent: int, coeff: int = 1) -> "FpPoly":
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        return cls(p, (0,) * exponent + (coeff,))
-
     @property
     def degree(self):
         """Degree as an int, or -inf for the zero polynomial."""

@@ -16,6 +16,10 @@ exact fractions one window at a time, and the closed forms of the bound for
 p = 3 and for p = 5, d = 5n + 1; the package sums the windows with floor
 sums instead.  Family reference: the p = 5 trinomials keyed on d mod 5, a
 second minimal family beside the package's table rows.
+
+Closed-form reference: the a-number of y^p - y = x^d from where the single
+nonzero of each Cartier column lands, on Python ints with its own level
+bounds, so it shares no code with either a-number path.
 """
 
 import math
@@ -65,7 +69,7 @@ def section(h: FpPoly) -> FpPoly:
 def unit(curve, level: int, j: int) -> tuple:
     """The basis kernel tuple with x^j dx at the given level, 0 elsewhere."""
     nu = [FpPoly.zero(curve.p)] * curve.p
-    nu[level] = FpPoly.monomial(curve.p, j)
+    nu[level] = FpPoly(curve.p, [0] * j + [1])
     return tuple(nu)
 
 
@@ -154,6 +158,31 @@ def kernel_vectors(a, p: int) -> list[list[int]]:
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
+
+
+def monomial_a_number(p: int, d: int) -> int:
+    """a-number of y^p - y = x^d, by counting the rows its Cartier matrix hits.
+
+    The regular basis is the x^j y^i dx with 0 <= j <= reg[i] =
+    ceil((p-1-i) d / p) - 2.  For f = x^d, (-f)^(i-t) is one term, so the
+    image of column x^j y^i dx is comb(i, t) (-1)^(i-t) x^r y^t dx for the t
+    with p(r + 1) - 1 - j = d(i - t), a unit multiple since i < p.  As p does
+    not divide d, i - t is fixed mod p and at most one t in [0, i] fits.
+    With one nonzero per column, the rank is the number of distinct rows
+    (r, t) hit, and the a-number is the column count (the genus) less it.
+    """
+    reg = [_ceil_div((p - 1 - i) * d, p) - 2 for i in range(p)]
+    # d(i - t) = -(j + 1) (mod p) fixes i - t
+    d_inv = pow(d, -1, p)
+    hit = set()
+    for i in range(p):
+        for j in range(reg[i] + 1):
+            k = -(j + 1) * d_inv % p
+            if k <= i:
+                r = (j + 1 + d * k) // p - 1
+                assert 0 <= r <= reg[i - k], "Cartier image left the regular span"
+                hit.add((r, i - k))
+    return sum(max(b + 1, 0) for b in reg) - len(hit)
 
 
 def threshold(p: int, d: int, i: int, j: int) -> Fraction:

@@ -41,6 +41,7 @@ from reference import (
     from_coords,
     is_regular,
     kernel_vectors,
+    monomial_a_number,
     obstruction_vector,
     reconstruct,
     section,
@@ -66,8 +67,8 @@ class TestWorkedExampleD11:
 
     def test_gamma_of_unit_1_3(self):
         w = reconstruct(self.curve, unit(self.curve, 1, 3))
-        assert w[1] == FpPoly.monomial(5, 3)
-        assert w[0] == FpPoly.monomial(5, 14)
+        assert w[1] == parse_poly("x^3", 5)
+        assert w[0] == parse_poly("x^14", 5)
         assert w[2].is_zero and w[3].is_zero and w[4].is_zero
         assert not is_regular(self.curve, w)
 
@@ -90,7 +91,7 @@ class TestReconstruct:
             c = make(p, text)
             for j in (0, 1):
                 w = reconstruct(c, unit(c, 0, j))
-                assert w[0] == FpPoly.monomial(p, j)
+                assert w[0] == FpPoly(p, [0] * j + [1])
                 assert all(w[i].is_zero for i in range(1, p))
 
     def test_from_coords_places_each_unit(self):
@@ -556,7 +557,7 @@ class TestANumbers:
                         block = column[starts[t] : starts[t] + sizes[t]].tolist()
                         want = [0] * sizes[t]
                         if t <= i:
-                            x_j = FpPoly.monomial(p, j)
+                            x_j = FpPoly(p, [0] * j + [1])
                             image = cartier(x_j * powers[i - t])
                             image = image * math.comb(i, t)
                             assert image.degree <= c.reg_bound[t], (p, d, i, j, t)
@@ -633,6 +634,19 @@ class TestANumbers:
                     f = sample_poly(p, d, _rng_for(100 * p + d, index))
                     c = BasicCurve.from_poly(p, f)
                     assert a_number_fast(c) == a_number_oracle(c), (p, d, str(f))
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_monomials_match_the_closed_form(self, p):
+        # both paths against a count that shares no code with either
+        for d in range(1, 40):
+            if d % p:
+                c = make(p, f"x^{d}")
+                assert a_number_fast(c) == a_number_oracle(c) == monomial_a_number(p, d), d
+
+    @pytest.mark.parametrize("p, d", [(101, 3), (101, 7), (211, 2)])
+    def test_monomials_match_the_closed_form_at_large_primes(self, p, d):
+        c = make(p, f"x^{d}")
+        assert a_number_fast(c) == a_number_oracle(c) == monomial_a_number(p, d)
 
     def test_p_rank_is_zero(self):
         for p, text in ((3, "x^2"), (5, "x^11"), (3, "x^4+x^2"), (7, "x^10+x^4")):

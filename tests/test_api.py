@@ -48,10 +48,15 @@ def test_public_names_resolve_and_the_test_reference_is_not_public():
         "families.MOD5_DEGREES",
         "families.ROWS",
         "experiments.DRAW_CELLS",
+        "experiments._shape",
     ]
     for path in gone:
         module, name = path.split(".")
         assert name not in asnum.__all__ and not hasattr(getattr(asnum, module), name), path
+    # no package code builds a monomial; the tests spell out their coefficients
+    assert not hasattr(asnum.FpPoly, "monomial")
+    # the per-degree layout is private to the package
+    assert not {"Layout", "layout", "genus"} & set(asnum.__all__)
 
 
 def test_reference_takes_only_the_polynomial_type_from_the_package():

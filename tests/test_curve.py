@@ -1,8 +1,12 @@
 """Curve model: derived per-level data, genus, matrix layout, edge degrees."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
-from asnum.curve import BasicCurve
+from asnum.curve import LAYOUT_CACHE, BasicCurve, Layout, layout
 from asnum.fppoly import FpPoly, SplitCoverError, parse_poly
 from reference import domain_basis
 
@@ -172,3 +176,28 @@ def test_split_cover_rejected():
 def test_modulus_mismatch_rejected():
     with pytest.raises(ValueError):
         BasicCurve.from_poly(5, FpPoly(3, [0, 1]))
+
+
+class TestLayout:
+    def test_curves_of_one_degree_share_the_layout(self):
+        a, b = make(5, "x^11"), make(5, "3*x^11+x^7+2*x")
+        assert a.f != b.f
+        for field in dataclasses.fields(Layout):
+            assert getattr(a, field.name) is getattr(b, field.name), field.name
+            assert getattr(a, field.name) is getattr(layout(5, 11), field.name), field.name
+
+    def test_one_object_per_degree_in_a_bounded_cache(self):
+        assert layout(7, 30) is layout(7, 30)
+        assert layout(7, 30) is not layout(7, 31)
+        assert layout.cache_info().maxsize == LAYOUT_CACHE
+
+    def test_degree_divisible_by_p_rejected(self):
+        with pytest.raises(ValueError, match="divisible by p"):
+            layout(3, 6)
+
+    def test_curve_copies_and_pickles(self):
+        c = make(7, "x^30+2*x^4")
+        for twin in (copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+            assert type(twin) is BasicCurve
+            assert twin == c
+            assert twin.live_shape == c.live_shape

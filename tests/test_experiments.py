@@ -2,6 +2,7 @@
 
 import json
 import os
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import asnum.experiments
 from asnum.bounds import lower_bound_single
-from asnum.curve import BasicCurve
+from asnum.curve import BasicCurve, layout
 from asnum.anumber import a_number_fast, a_number_oracle, obstruction_stack
 from asnum._seeded import bounded_draws
 from asnum.experiments import (
@@ -22,12 +23,12 @@ from asnum.experiments import (
     sample_poly,
     sample_space_size,
     _a_numbers,
+    _all_chunks,
     _chunk_rows,
     _draw,
     _random_chunks,
     _rng_for,
     _seeded_rows,
-    _shape,
 )
 from asnum.fppoly import FpPoly
 from asnum.linalg import stack_ranks
@@ -37,7 +38,7 @@ def set_chunk_rows(monkeypatch, p, d, rows):
     """Make engine chunks at (p, d) hold `rows` samples; None keeps the default."""
     if rows is not None:
         monkeypatch.setattr(asnum.experiments, "CHUNK_ROWS", rows)
-        assert _chunk_rows(_shape(p, d)) == rows
+        assert _chunk_rows(layout(p, d)) == rows
 
 
 def fake_pool(monkeypatch, jobs=None):
@@ -138,20 +139,19 @@ class TestDistribution:
 
     def test_one_chunk_starts_no_pool(self, monkeypatch):
         recorded = fake_pool(monkeypatch)
-        assert _chunk_rows(_shape(3, 17)) >= 100
+        assert _chunk_rows(layout(3, 17)) >= 100
         for seed in range(3):
             serial = distribution(3, 17, 100, seed, threads=1)
             assert distribution(3, 17, 100, seed, threads=8).counts == serial.counts
         assert recorded == []
 
     def test_one_shape_per_survey_and_per_job(self, monkeypatch):
-        # the shape of x^d is built once per call, or once per worker job
+        # a survey builds no curve: it takes the layout of (p, d) once per
+        # call, or once per worker job
         calls = []
-        from_poly = BasicCurve.from_poly
+        monkeypatch.setattr(BasicCurve, "from_poly", None)
         monkeypatch.setattr(
-            BasicCurve,
-            "from_poly",
-            staticmethod(lambda p, f: calls.append((p, f.degree)) or from_poly(p, f)),
+            asnum.experiments, "layout", lambda p, d: calls.append((p, d)) or layout(p, d)
         )
         assert distribution(3, 17, 600, 1).counts == {8: 384, 9: 187, 10: 29}
         assert calls == [(3, 17)]
@@ -260,6 +260,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             Distribution.from_csv(text)
 
+    def test_large_prime_tally_is_checked_without_a_layout(self, monkeypatch):
+        # a layout takes O(p) work and memory; the genus check must not
+        monkeypatch.setattr(asnum.experiments, "layout", None)
+        p, d = 100003, 2
+        genus = (p - 1) * (d - 1) // 2
+        assert Distribution(p, d, 1, 0, {genus: 1}, 0.0).counts == {genus: 1}
+        with pytest.raises(ValueError, match="above the genus"):
+            Distribution(p, d, 1, 0, {genus + 1: 1}, 0.0)
+
     @pytest.mark.parametrize(
         "key, value, message",
         [
@@ -339,9 +348,9 @@ class TestEngine:
     def test_matches_per_curve_evaluation(self, p):
         degrees = [d for d in (1, 2, 3, 4, 5, 9, 14, 17) if d % p]
         # the shapes include empty matrices: no obstruction rows, no domain
-        assert _shape(p, 1).dim_domain == _shape(p, 1).dim_obstruction == 0
+        assert layout(p, 1).dim_domain == layout(p, 1).dim_obstruction == 0
         for d in degrees:
-            shape = _shape(p, d)
+            shape = layout(p, d)
             for rows, a in _a_numbers(shape, _random_chunks(shape, 7 * p + d, 0, 30)):
                 expect = [
                     a_number_fast(BasicCurve.from_poly(p, FpPoly(p, row.tolist())))
@@ -353,7 +362,7 @@ class TestEngine:
     def test_whole_chunks_match_the_oracle(self, p, d):
         # the Cartier oracle shares only the single-row np.convolve power
         # table with the engine, whose chunks take the shifted adds
-        shape = _shape(p, d)
+        shape = layout(p, d)
         rows = _seeded_rows(p, d, 11 * p + d, 0, 64)
         a = shape.dim_domain - stack_ranks(obstruction_stack(shape, rows), p)
         expect = [a_number_oracle(BasicCurve.from_poly(p, FpPoly(p, row.tolist()))) for row in rows]
@@ -380,10 +389,10 @@ class TestEngine:
         )
 
     def test_chunks_respect_the_cell_cap(self, monkeypatch):
-        rows, cols = _shape(3, 17).live_shape
+        rows, cols = layout(3, 17).live_shape
         cells = rows * cols
         monkeypatch.setattr(asnum.experiments, "CHUNK_CELLS", 5 * cells + 1)
-        assert _chunk_rows(_shape(3, 17)) == 5
+        assert _chunk_rows(layout(3, 17)) == 5
         assert distribution(3, 17, 300, 4).counts == {8: 197, 9: 94, 10: 9}
 
     @pytest.mark.parametrize(
@@ -398,13 +407,13 @@ class TestEngine:
     )
     def test_rejects_rows_not_normalized(self, row):
         good = [0, 1, 2, 0, 2]
-        assert [a.tolist() for _, a in _a_numbers(_shape(3, 4), [np.array([good])])] == [[2]]
+        assert [a.tolist() for _, a in _a_numbers(layout(3, 4), [np.array([good])])] == [[2]]
         with pytest.raises(ValueError, match="not normalized"):
-            list(_a_numbers(_shape(3, 4), [np.array([good, row])]))
+            list(_a_numbers(layout(3, 4), [np.array([good, row])]))
 
     def test_rejects_rows_of_another_degree(self):
         with pytest.raises(ValueError, match="not normalized"):
-            list(_a_numbers(_shape(3, 4), [np.array([[0, 1, 2, 0, 1, 0]])]))
+            list(_a_numbers(layout(3, 4), [np.array([[0, 1, 2, 0, 1, 0]])]))
 
 
 class TestSeededDraw:
@@ -449,7 +458,7 @@ class TestSeededDraw:
         set_chunk_rows(monkeypatch, 3, 8, 7)
         if cells is not None:
             monkeypatch.setattr(asnum.experiments, "CHUNK_CELLS", cells)
-        chunks = list(_random_chunks(_shape(3, 8), 5, 3, 60))
+        chunks = list(_random_chunks(layout(3, 8), 5, 3, 60))
         lengths = [1] * 57 if cells == 1 else [7] * 8 + [1]
         assert [len(rows) for rows in chunks] == lengths
         assert np.array_equal(np.concatenate(chunks), self.reference(3, 8, 5, 3, 60))
@@ -502,3 +511,25 @@ class TestRandomSearch:
         # the bound is attained by most covers, so modest sample counts find it
         assert min_a_random(7, 12, 150, seed=1).min_a == 18
         assert min_a_random(11, 7, 150, seed=1).min_a == 18
+
+
+class TestDegreeDividingPMinusOne:
+    """When d divides p - 1, every cover of degree d has a = L(d).
+
+    Recalled from S. Farnell and R. Pries, "Families of Artin-Schreier curves
+    with Cartier-Manin matrix of constant rank", Linear Algebra Appl. 439
+    (2013): for d | p - 1 the Cartier-Manin matrix of y^p - y = f has the
+    same rank for every f of degree d.  The tallies below are the evidence
+    here, not a proof.
+    """
+
+    def test_every_cover_at_11_5(self):
+        shape = layout(11, 5)
+        counts = Counter()
+        for _, a in _a_numbers(shape, _all_chunks(shape)):
+            counts.update(a.tolist())
+        assert counts == {lower_bound_single(11, 5): sample_space_size(11, 5)} == {12: 146410}
+
+    def test_seeded_survey_at_19_9(self):
+        assert distribution(19, 9, 3000, 1).counts == {lower_bound_single(19, 9): 3000}
+        assert lower_bound_single(19, 9) == 40
