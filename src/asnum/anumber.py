@@ -42,10 +42,18 @@ builds its own powers and enumerates its own basis.
 
 obstruction_coords makes the same sweep in coordinate form for f with few
 terms: it follows only the nonzero terms of (-f)^e, from a power table of
-its own, and emits (row, col, value) triples, so its cost follows the
-nonzeros instead of the matrix size.  The family check ranks its members
-this way (linalg.coords_rank_nullity).  Dense f keeps the dense build, which
-is faster there; the tests check that both builds give the same matrix.
+its own in Python ints, and emits (row, col, value) triples, so its cost
+follows the nonzeros instead of the matrix size.  The unit monomials a term
+x^e sends to level t form one arithmetic progression of keys, of step
+dim_domain + p - 1 (x^(j+p) lands one compressed row down and p - 1
+columns on), and depend on no lower level: a Python loop over the level
+pairs and terms records each progression as a few scalars, one expansion
+makes every level's unit coordinates at once, and each level then adds
+its shifted higher components and sums duplicates in one sort.  So numpy
+runs a fixed number of calls per level, and none per term.  The family
+check ranks its members this way (linalg.coords_rank_nullity).  Dense f
+keeps the dense build, which is faster there; the tests check that both
+builds give the same matrix.
 
 The p-rank is 0.  The oracle certifies it on the matrix it builds: in the
 level-major basis the Cartier operator sends x^j y^i dx either to a lower
@@ -267,22 +275,26 @@ def _merge(keys: np.ndarray, values: np.ndarray, p: int, sign: int = 1):
     return keys[nz], values[nz]
 
 
-def _neg_f_power_terms(p: int, coeffs) -> list[tuple[np.ndarray, np.ndarray]]:
+def _neg_f_power_terms(p: int, coeffs) -> list[tuple[list[int], list[int]]]:
     """(exponents, values) of the nonzero terms of (-f)^e for e = 0 .. p-1.
 
-    Each power is the previous one times -f, multiplied term by term: an
-    entry sums at most one product below p^2 per nonzero term of f, checked
-    before anything is built.
+    Lists of Python ints, per power the exponents ascending and the values
+    residues in [1, p).  Each power is the previous one times -f, multiplied
+    term by term: the f this table serves have few terms, where numpy's
+    per-call cost would exceed the products themselves.  An entry sums at
+    most one product below p^2 per nonzero term of f, checked before
+    anything is built.
     """
     terms = [(e, -c % p) for e, c in enumerate(coeffs) if c % p]
     check_int64_sum(len(terms), (p - 1) ** 2, "(-f)^e table")
-    exps, vals = np.array(terms, dtype=np.int64).reshape(-1, 2).T
-    powers = [(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))]
+    powers = [([0], [1])]
     for _ in range(1, p):
-        e, v = powers[-1]
-        powers.append(
-            _merge((e[:, None] + exps).ravel(), (v[:, None] * vals).ravel(), p)
-        )
+        acc: dict[int, int] = {}
+        for a, u in zip(*powers[-1]):
+            for b, w in terms:
+                acc[a + b] = acc.get(a + b, 0) + u * w
+        exps = sorted(e for e, v in acc.items() if v % p)
+        powers.append((exps, [acc[e] % p for e in exps]))
     return powers
 
 
@@ -291,60 +303,89 @@ def obstruction_coords(curve: BasicCurve) -> tuple[np.ndarray, np.ndarray, np.nd
 
     Densified into a (dim_obstruction, dim_domain) array, the coordinates
     give obstruction_matrix(curve); each appears once, with a nonzero
-    residue.  The sweep is obstruction_stack's, over t = p-2 .. 0, on coordinate
-    lists that follow only the nonzero terms x^e of comb(src, t) *
-    (-f)^(src-t): a unit monomial x^j of a column topped at src lands at
-    compressed row (j + e + 1)/p - 1 when j + e = -1 (mod p), and a
-    compressed component of a higher column moves down e/p rows when p
-    divides e.  Work and memory follow the nonzeros, not the matrix size, so
-    this suits f with few terms, such as the family members; for dense f the
-    dense build is faster.
+    residue.  The sweep is obstruction_stack's, over t = p-2 .. 0, on
+    coordinate lists keyed u * dim_domain + column (u the compressed row)
+    that follow only the nonzero terms x^e of comb(src, t) * (-f)^(src-t).
+    A unit monomial x^j of a column topped at src lands at compressed row
+    (j + e + 1)/p - 1 when j + e = -1 (mod p), that is for j = r + p*m with
+    r = (-1 - e) mod p < p - 1 and 0 <= m <= (reg_bound[src] - r)//p; its
+    column is col_start[src] + r + m*(p - 1), so the keys of one term form
+    an arithmetic progression of step dim_domain + p - 1.  No unit
+    coordinate depends on another level's result, so one Python loop over
+    every level pair and term, on Python ints, collects a (base, count,
+    value) run per progression, and one np.repeat/arange expansion makes all
+    their keys and values, in level order.  A compressed component of a
+    higher column moves down e/p rows when p divides e: level t takes its
+    slice of the expansion plus one shifted, scaled copy of comp[src] per
+    such term, and sums duplicates in one _merge.  So numpy runs a fixed
+    number of calls per level, none per term, and work and memory follow the
+    nonzeros, not the matrix size: this suits f with few terms, such as the
+    family members; for dense f the dense build is faster.
     """
     p = curve.p
     _check_build_headroom(curve)
     negf = _neg_f_power_terms(p, curve.f.coeffs)
     ncols = curve.dim_domain
-    col, row = curve.col_start, curve.row_start
+    col, row, reg = curve.col_start, curve.row_start, curve.reg_bound
+    step = ncols + p - 1
+    # per power: (key at m = 0, less col_start[src]; r; value) of each term
+    # with unit coordinates, and (key shift, value) of each term p divides
+    units = [
+        [(((r + e + 1) // p - 1) * ncols + r, r, v)
+         for e, v in zip(*power) if (r := (-1 - e) % p) < p - 1]
+        for power in negf
+    ]
+    shifts = [[(e // p * ncols, v) for e, v in zip(*power) if e % p == 0] for power in negf]
+    # a run holds entries total .. total + count - 1 of the expansion, whose
+    # keys are base + step * index, so its base is taken less step * total
+    bases, counts, values, ends = [], [], [], []
+    total = 0
+    for t in range(p - 2, -1, -1):
+        for src in range(t + 1, p):
+            bound = reg[src]
+            scale = math.comb(src, t) % p
+            for key, r, v in units[src - t]:
+                if r <= bound:
+                    count = (bound - r) // p + 1
+                    bases.append(key + col[src] - step * total)
+                    counts.append(count)
+                    values.append(scale * v % p)
+                    total += count
+        ends.append(total)
+    unit_keys = np.repeat(np.array(bases, dtype=np.int64), counts)
+    unit_keys += step * np.arange(total)
+    unit_vals = np.repeat(np.array(values, dtype=np.int64), counts)
     empty = np.zeros(0, dtype=np.int64)
     # comp[t]: compressed level-t components of the columns col[t+1]: onwards,
-    # as ascending keys u * ncols + column and their values
+    # as ascending keys and their values
     comp = [(empty, empty)] * p
     out = [[empty], [empty], [empty]]
-    for t in range(p - 2, -1, -1):
-        key_parts, val_parts = [empty], [empty]
+    lo = 0
+    for t, hi in zip(range(p - 2, -1, -1), ends):
+        # (keys, values, key shift, scale) of each part of the level's sum
+        parts = [(unit_keys[lo:hi], unit_vals[lo:hi], 0, 1)]
+        lo = hi
         for src in range(t + 1, p):
-            exps, vals = negf[src - t]
-            g = math.comb(src, t) % p * vals % p
-            if col[src + 1] > col[src]:
-                # per term, the exponents j = r, r + p, ... <= reg_bound[src]
-                # with j + e = -1 (mod p); none when r = p - 1
-                r = (-1 - exps) % p
-                count = (curve.reg_bound[src] - r) // p + 1
-                count = np.where(r < p - 1, np.maximum(count, 0), 0)
-                term = np.repeat(np.arange(exps.size), count)
-                j = r[term] + p * (
-                    np.arange(term.size) - np.repeat(np.cumsum(count) - count, count)
-                )
-                u = (j + exps[term] + 1) // p - 1
-                key_parts.append(u * ncols + col[src] + j - (j + 1) // p)
-                val_parts.append(g[term])
             w_keys, w_vals = comp[src]
-            shift = exps % p == 0
-            if w_keys.size and shift.any():
-                key_parts.append((w_keys + (exps[shift] // p * ncols)[:, None]).ravel())
-                val_parts.append((g[shift][:, None] * w_vals).ravel())
-        keys, vals = comp[t] = _merge(
-            np.concatenate(key_parts), np.concatenate(val_parts), p, sign=-1
-        )
+            if w_keys.size:
+                scale = math.comb(src, t) % p
+                parts += [(w_keys, w_vals, s, scale * v % p) for s, v in shifts[src - t]]
+        part_keys, part_vals, moves, scales = zip(*parts)
+        keys, vals = np.concatenate(part_keys), np.concatenate(part_vals)
+        if len(parts) > 1:
+            sizes = [k.size for k in part_keys]
+            keys += np.repeat(moves, sizes)
+            vals *= np.repeat(scales, sizes)
+        keys, vals = comp[t] = _merge(keys, vals, p, sign=-1)
         if curve.slot_count[t]:
             # the obstruction rows of level t are a run of the sorted keys
             u0 = (curve.slot_start[t] - (p - 1)) // p
             end = u0 + curve.slot_count[t]
-            lo, hi = np.searchsorted(keys, [u0 * ncols, end * ncols])
-            u, c = np.divmod(keys[lo:hi], ncols)
+            first, last = np.searchsorted(keys, [u0 * ncols, end * ncols])
+            u, c = np.divmod(keys[first:last], ncols)
             out[0].append(u - u0 + row[t])
             out[1].append(c)
-            out[2].append(vals[lo:hi])
+            out[2].append(vals[first:last])
     return tuple(np.concatenate(part) for part in out)
 
 

@@ -266,11 +266,15 @@ def coords_rank_nullity(p: int, coords, shape) -> tuple[int, int]:
     nonzero residue mod p, of a matrix of the given shape.  Checks int64
     headroom first, whatever the zero pattern, peels (_peel), and makes only
     the core dense, within numutil.MAX_CELLS, for _echelon: the work follows
-    the nonzeros and the core, never the full shape.
+    the nonzeros and the core, never the full shape.  When the peel leaves
+    no coordinate, as for almost every family member, the peeled pivots are
+    the rank and nothing is made dense.
     """
     _check_headroom(p)
     r, c, v = coords
     peeled, live_r, live_c = _peel(r, c, shape)
+    if not live_r.size:
+        return peeled, shape[1] - peeled
     live_rows = np.bincount(live_r, minlength=shape[0]) > 0
     live_cols = np.bincount(live_c, minlength=shape[1]) > 0
     # the survivors, in input order, are the coordinates whose row and column

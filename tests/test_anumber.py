@@ -414,6 +414,38 @@ class TestObstructionCoords:
         m = densified(BasicCurve.from_poly(5, minimal_family(5, 499)[0]))
         assert hashlib.sha1(m.tobytes()).hexdigest() == "714eba6687081b979d47907c412bb948e46d7a8b"
 
+    @pytest.mark.parametrize("p, delta, c", [(11, 3, 4), (11, 26, 13), (13, 3, 8), (13, 40, 8)])
+    def test_trinomial_shape_at_larger_primes(self, p, delta, c):
+        # the families' trinomial shape x^d + x^((d + p(m + k))/2) + x^(p m + c),
+        # d = p^2 m + delta, k = 1 for odd delta and 2 for even, at an odd and
+        # an even residue per prime; each c attains L(d) at m = 1 and 2
+        for m in (1, 2):
+            d = p * p * m + delta
+            e = (d + p * (m + 2 - delta % 2)) // 2
+            assert_coords_match_dense(make(p, f"x^{d}+x^{e}+x^{p * m + c}"))
+
+    def test_terms_congruent_mod_p(self):
+        # terms of one power of -f that agree mod p start unit progressions
+        # at the same residue, whose keys interleave in one level
+        for p, text in ((5, "x^23+x^18+x^8"), (7, "x^40+x^33+x^5")):
+            assert_coords_match_dense(make(p, text))
+
+    def test_cancelled_coordinates_are_dropped(self, monkeypatch):
+        # at level 0 of this f a shifted compressed component cancels a unit
+        # coordinate: the merge must drop that key, not emit a zero
+        merge, vanished = asnum.anumber._merge, []
+
+        def spy(keys, values, p, sign=1):
+            _, at, counts = np.unique(keys, return_inverse=True, return_counts=True)
+            sums = np.zeros(counts.size, dtype=np.int64)
+            np.add.at(sums, at, values)
+            vanished.append(bool(((counts > 1) & (sums % p == 0)).any()))
+            return merge(keys, values, p, sign)
+
+        monkeypatch.setattr(asnum.anumber, "_merge", spy)
+        assert_coords_match_dense(make(5, "x^7+4*x^4+4*x^3"))
+        assert any(vanished)
+
     def test_power_terms_match_the_dense_table(self):
         rng = np.random.default_rng(41)
         for p, d in ((2, 9), (3, 10), (7, 12), (13, 5)):
@@ -421,8 +453,8 @@ class TestObstructionCoords:
             dense = _neg_f_power_stack(p, [coeffs])
             for e, (exps, vals) in enumerate(_neg_f_power_terms(p, coeffs)):
                 row = dense[e][0]
-                assert exps.tolist() == np.flatnonzero(row).tolist(), (p, e)
-                assert vals.tolist() == row[exps].tolist(), (p, e)
+                assert exps == np.flatnonzero(row).tolist(), (p, e)
+                assert vals == row[exps].tolist(), (p, e)
 
 
 @st.composite

@@ -342,8 +342,11 @@ class TestVerifyFamily:
     def test_obstruction_matrices_peel_to_a_tiny_core(self, p):
         # the speed of ranking a family member rests on this: the zero
         # pattern alone fixes all its pivots but those of a core of at
-        # most 4 x 4, and almost always all of them
-        for d in [*range(1, 121), 451, 499]:
+        # most 4 x 4, and almost always all of them, at every verified
+        # degree; the rank is checked against the dense elimination on the
+        # degrees where that is cheap
+        dense = {*range(1, 121), 451, 499}
+        for d in range(1, 1029 if p == 7 else 501):
             if d % p == 0:
                 continue
             curve = BasicCurve.from_poly(p, minimal_family(p, d)[0])
@@ -352,5 +355,6 @@ class TestVerifyFamily:
             _, live_r, live_c = _peel(r, c, shape)
             core_shape = (np.unique(live_r).size, np.unique(live_c).size)
             assert core_shape == self.CORES.get((p, d), (0, 0)), (p, d, core_shape)
-            rank = coords_rank_nullity(p, (r, c, v), shape)[0]
-            assert rank == _echelon(obstruction_matrix(curve).a, p), (p, d)
+            if d in dense:
+                rank = coords_rank_nullity(p, (r, c, v), shape)[0]
+                assert rank == _echelon(obstruction_matrix(curve).a, p), (p, d)

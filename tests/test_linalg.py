@@ -210,6 +210,20 @@ def test_core_size_checked_before_densifying(monkeypatch):
         coords_rank_nullity(5, (r, c, np.ones(2 * n, dtype=np.int64)), (n, n))
 
 
+def test_fully_peeled_matrix_skips_the_elimination(monkeypatch):
+    # a permutation pattern peels to nothing, so the peeled pivots are the
+    # whole rank: no core is ranked, and _echelon never runs
+    def no_echelon(a, p):
+        raise AssertionError("_echelon called on an empty core")
+
+    monkeypatch.setattr(asnum.linalg, "_echelon", no_echelon)
+    n = 60
+    rng = np.random.default_rng(23)
+    r, c = np.arange(n), rng.permutation(n)
+    v = rng.integers(1, 7, size=n)
+    assert coords_rank_nullity(7, (r, c, v), (n, n + 3)) == (n, 3)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
 def test_peel_matches_echelon_on_sparse_matrices(p):
     rng = np.random.default_rng(100 + p)
