@@ -19,26 +19,30 @@ check.
 The power table and the obstruction build take a stack of polynomials of one
 degree, one row each, since every matrix shape depends only on (p, d): the
 survey engine builds a whole chunk of covers in one pass, and a single curve
-is a stack of one.  Inside, both hold the sample axis last, (..., N), so
-each gather and shifted add moves contiguous runs of N entries; the table
-hands on (N, len) views of its powers, and the build returns an
-(N, *live_shape) stack.  The build reads only the Layout of (p, d) (a
-curve is one), so a survey passes one layout for the whole chunk.  Both
-obstruction builds place their columns and rows by it (col_start,
+is a stack of one.  Every stack holds the sample axis last, (..., N), inside
+and at every boundary: each gather and shifted add moves contiguous runs of
+N entries, the table hands on (len, N) powers, the build returns a
+(*live_shape, N) stack, and linalg.stack_ranks takes it as it is.  A single
+curve reads its one sample, [..., 0].  The build reads only the Layout of
+(p, d) (a curve is one), so a survey passes one layout for the whole chunk.
+Both obstruction builds place their columns and rows by it (col_start,
 row_start and its column map).
+
 Only the live block of that layout can be nonzero for any f of degree d: the
 level-0 columns lift to themselves, and the correction at level t has degree
 at most live_bound[t], so the rows above it are zero.  The dense build makes
 only the live block, with its compressed rows up to that bound and the
 powers (-f)^e that its levels reach; the survey engine and a_number_fast
-rank it, and obstruction_matrix sets it in zeros.  The
-builds' int64 sums are checked for headroom, and each dense matrix's size
-against numutil.MAX_CELLS, before anything is built.  The same bounds cap
-every value the power table and the obstruction build hold, so both run in
-the narrowest of int16, int32 and int64 that holds them
-(numutil.narrowest_int_dtype); the matrices they hand on are int64.  The tests check every column of the obstruction matrix
-against a lift of one tuple at a time in exact FpPoly arithmetic, which
-builds its own powers and enumerates its own basis.
+rank it, and obstruction_matrix sets it in zeros.  The builds' int64 sums
+are checked for headroom, and each dense matrix's size against
+numutil.MAX_CELLS, before anything is built.  The same bounds cap every
+value the power table and the obstruction build hold, so both run in the
+narrowest of int16, int32 and int64 that holds them
+(numutil.narrowest_int_dtype) and hand their arrays on in it; only the
+public obstruction_matrix and cartier_matrix are int64.  The tests check
+every column of the obstruction matrix against a lift of one tuple at a
+time in exact FpPoly arithmetic, which builds its own powers and enumerates
+its own basis.
 
 obstruction_coords makes the same sweep in coordinate form for f with few
 terms: it follows only the nonzero terms of (-f)^e, from a power table of
@@ -73,29 +77,15 @@ from numpy.lib.stride_tricks import as_strided
 from .bounds import lower_bound_single
 from .curve import BasicCurve, Layout
 from .linalg import FpMatrix, rank_nullity
-from .numutil import check_cells, check_int64_sum, narrowest_int_dtype
+from .numutil import _reduce, check_cells, check_int64_sum, narrowest_int_dtype
 
 
 class InvariantViolation(AssertionError):
     """A structural invariant of the computation failed: a bug, not bad input."""
 
 
-def _reduce(a: np.ndarray, p: int) -> np.ndarray:
-    """Reduce the non-negative integer array ``a`` mod p in place; return it.
-
-    numpy's floor division by a scalar is vectorized and its integer
-    remainder is not: on 16800 int16 entries (numpy 2.4, a 2-core x86-64 VM)
-    a % p took about 60 us and a - p * (a // p) about 10 us.  For a >= 0,
-    p * (a // p) lies in [0, a], so no step leaves a's dtype.
-    """
-    q = a // p
-    q *= p
-    a -= q
-    return a
-
-
 def _neg_f_power_stack(p: int, coeffs, top: int | None = None) -> list[np.ndarray]:
-    """(N, e*(L-1) + 1) arrays of (-f)^e mod p for e = 0 .. top, one row per f.
+    """(e*(L-1) + 1, N) arrays of (-f)^e mod p for e = 0 .. top, one column per f.
 
     ``top`` defaults to p - 1; the obstruction build reads fewer powers.
     ``coeffs`` holds N coefficient rows of one length L, every entry a
@@ -104,13 +94,14 @@ def _neg_f_power_stack(p: int, coeffs, top: int | None = None) -> list[np.ndarra
     p^2, checked for int64 headroom before anything is built, and the table
     is built in the narrowest integer dtype that holds L * (p-1)^2
     (numutil.narrowest_int_dtype); the same bound covers the products of a
-    reduced binomial with a table entry in both matrix builds.  Each power
-    is built as a (len, N) array, the sample axis last, by one shifted add
-    of whole rows per coefficient column k of f that is nonzero in some row,
-    nxt[k : k + len] += neg[k] * prev, and handed on as its (N, len)
-    transposed view; when there are fewer rows than such columns, as for a
-    single large curve, each power is one np.convolve per row instead.
-    (-f)^1 is -f itself.
+    reduced binomial with a table entry in both matrix builds.  Every power
+    holds the sample axis last, as every stack of the package does.  Each is
+    built as a (len, N) array by one shifted add of whole rows per
+    coefficient column k of f that is nonzero in some row,
+    nxt[k : k + len] += neg[k] * prev, and handed on as built; when there
+    are fewer rows than such columns, as for a single large curve, each
+    power is one np.convolve per row instead, handed on as a transposed
+    view.  (-f)^1 is -f itself.
     """
     check_int64_sum(len(coeffs[0]), (p - 1) ** 2, "(-f)^e table")
     dtype = narrowest_int_dtype(len(coeffs[0]) * (p - 1) ** 2)
@@ -118,7 +109,7 @@ def _neg_f_power_stack(p: int, coeffs, top: int | None = None) -> list[np.ndarra
     neg = _reduce(p - np.asarray(coeffs, dtype=dtype), p)
     n, length = neg.shape
     if top <= 1:
-        return [np.ones((n, 1), dtype=dtype), neg][: top + 1]
+        return [np.ones((1, n), dtype=dtype), neg.T][: top + 1]
     cols = np.flatnonzero(neg.any(axis=0)).tolist()
     if n < len(cols):
         per_row = []
@@ -127,8 +118,8 @@ def _neg_f_power_stack(p: int, coeffs, top: int | None = None) -> list[np.ndarra
             for _ in range(top):
                 row.append(_reduce(np.convolve(row[-1], f), p))
             per_row.append(row)
-        return [np.array(power) for power in zip(*per_row)]
-    # sample axis last: each shifted add scales whole contiguous rows
+        return [np.array(power).T for power in zip(*per_row)]
+    # each shifted add scales whole contiguous rows
     neg = np.ascontiguousarray(neg.T)
     powers = [np.ones((1, n), dtype=dtype), neg]
     for _ in range(1, top):
@@ -137,7 +128,7 @@ def _neg_f_power_stack(p: int, coeffs, top: int | None = None) -> list[np.ndarra
         for k in cols:
             nxt[k : k + len(prev)] += neg[k] * prev
         powers.append(_reduce(nxt, p))
-    return [power.T for power in powers]
+    return powers
 
 
 def _check_build_headroom(layout: Layout) -> int:
@@ -158,13 +149,14 @@ def obstruction_matrix(curve: BasicCurve) -> FpMatrix:
     """Matrix of the obstruction map over the kernel-tuple basis.
 
     Columns and rows follow the curve's layout (Layout: col_start,
-    row_start).  The live block is built as a stack of one by
-    obstruction_stack and set in zeros at its place (Layout: live_start).
+    row_start).  The live block is the one sample of a stack built by
+    obstruction_stack, set in int64 zeros at its place (Layout:
+    live_start).
     """
     _check_build_headroom(curve)
     shape = (curve.dim_obstruction, curve.dim_domain)
     check_cells(*shape, "obstruction matrix")
-    live = obstruction_stack(curve, [curve.f.coeffs])[0]
+    live = obstruction_stack(curve, [curve.f.coeffs])[..., 0]
     mat = np.zeros(shape, dtype=np.int64)
     for t in range(curve.p):
         lo, hi = curve.live_start[t : t + 2]
@@ -177,11 +169,11 @@ def obstruction_stack(layout: Layout, coeffs) -> np.ndarray:
     """Live blocks of the obstruction matrices of y^p - y = f, f the rows of ``coeffs``.
 
     The rows are polynomials of degree layout.d over F_p; the layout depends
-    only on (p, d), so ``layout`` supplies it and the result is an
-    (N, *layout.live_shape) int64 stack, the same arithmetic for every row;
-    each live block must stay within numutil.MAX_CELLS.  Outside the live
-    block (Layout) the matrices are zero, so a rank of the stack is the
-    rank of the full matrix.  Below its top level a reconstructed component
+    only on (p, d), so ``layout`` supplies it and the result is a
+    (*layout.live_shape, N) stack, the sample axis last, the same arithmetic
+    for every row; each live block must stay within numutil.MAX_CELLS.
+    Outside the live block (Layout) the matrices are zero, so a rank of the
+    stack is the rank of the full matrix.  Below its top level a reconstructed component
     lives on exponents = -1 (mod p) only, so level t is stored compressed:
     row u stands for exponent p*u + p - 1, up to live_bound[t].  One
     downward sweep t = top-1 .. 0, top the highest level with columns,
@@ -201,23 +193,21 @@ def obstruction_stack(layout: Layout, coeffs) -> np.ndarray:
     right to p * rows, so every gather index is in range and needs no mask.
     The live rows of level t are then a slice of its compressed block.  An
     entry holds one gathered residue and at most p - 2 convolutions, within
-    the bound _check_build_headroom checks, so the padded powers and the
-    level blocks are in the narrowest integer dtype that holds it; only the
-    returned stack, a transposed copy of the (rows, cols, N) live blocks, is
-    int64.  With no live rows, as at d <= 2, the stack is zero and nothing
-    is built.
+    the bound _check_build_headroom checks, so the padded powers, the level
+    blocks and the returned stack are in the narrowest integer dtype that
+    holds it.  With no live rows, as at d <= 2, the stack is zero and
+    nothing is built.
     """
     p = layout.p
     dtype = narrowest_int_dtype(_check_build_headroom(layout))
     shape = layout.live_shape
     check_cells(*shape, "obstruction matrix")
     if shape[0] == 0:
-        return np.zeros((len(coeffs), *shape), dtype=np.int64)
+        return np.zeros((*shape, len(coeffs)), dtype=dtype)
     col, live = layout.col_start, layout.live_start
     # the levels with columns are 0 .. top; those above add nothing
     top = max((i for i in range(p) if col[i + 1] > col[i]), default=0)
-    # the sample axis last, as in every array below
-    negf = [power.T for power in _neg_f_power_stack(p, coeffs, top)]
+    negf = _neg_f_power_stack(p, coeffs, top)
     n = negf[0].shape[1]
     # each level's column exponents, by the Layout's column map
     exps = [k + k // (p - 1) for k in map(np.arange, np.diff(col))]
@@ -232,7 +222,7 @@ def obstruction_stack(layout: Layout, coeffs) -> np.ndarray:
         for src in range(top, t, -1):
             # g[left + i] is the coefficient of x^i in comb(src, t) *
             # (-f)^(src-t), zero-padded so that every unit gather is in range
-            left = max(int(exps[src][-1]) - (p - 1), 0) if len(exps[src]) else 0
+            left = max(int(exps[src][-1]) - (p - 1), 0)
             power = negf[src - t][: p * rows]
             g = np.zeros((left + p * rows, n), dtype=dtype)
             seg = g[left : left + len(power)]
@@ -241,9 +231,8 @@ def obstruction_stack(layout: Layout, coeffs) -> np.ndarray:
             if scale != 1:
                 seg *= scale
                 _reduce(seg, p)
-            if len(exps[src]):
-                idx = p * np.arange(rows)[:, None] + (p - 1 + left) - exps[src]
-                acc[:, col[src] - base : col[src + 1] - base] = np.take(g, idx, axis=0)
+            idx = p * np.arange(rows)[:, None] + (p - 1 + left) - exps[src]
+            acc[:, col[src] - base : col[src + 1] - base] = np.take(g, idx, axis=0)
             w = comp[src]
             if w.size:
                 m = len(w)
@@ -258,11 +247,11 @@ def obstruction_stack(layout: Layout, coeffs) -> np.ndarray:
         if live[t + 1] > live[t]:
             u = (layout.slot_start[t] - (p - 1)) // p
             out[live[t] : live[t + 1], base - col[1] :] = acc[u : u + live[t + 1] - live[t]]
-    return np.ascontiguousarray(out.transpose(2, 0, 1), dtype=np.int64)
+    return out
 
 
-def _merge(keys: np.ndarray, values: np.ndarray, p: int, sign: int = 1):
-    """The distinct keys, ascending, with sign * (sum of their values) mod p;
+def _merge(keys: np.ndarray, values: np.ndarray, p: int):
+    """The distinct keys, ascending, with -(sum of their values) mod p;
     keys whose sum vanishes are dropped.  The sums stay in int64."""
     order = np.argsort(keys)
     keys, values = keys[order], values[order]
@@ -270,7 +259,7 @@ def _merge(keys: np.ndarray, values: np.ndarray, p: int, sign: int = 1):
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     if keys.size:
         keys, values = keys[first], np.add.reduceat(values, np.flatnonzero(first))
-    values = sign * values % p
+    values = -values % p
     nz = values != 0
     return keys[nz], values[nz]
 
@@ -376,7 +365,7 @@ def obstruction_coords(curve: BasicCurve) -> tuple[np.ndarray, np.ndarray, np.nd
             sizes = [k.size for k in part_keys]
             keys += np.repeat(moves, sizes)
             vals *= np.repeat(scales, sizes)
-        keys, vals = comp[t] = _merge(keys, vals, p, sign=-1)
+        keys, vals = comp[t] = _merge(keys, vals, p)
         if curve.slot_count[t]:
             # the obstruction rows of level t are a run of the sorted keys
             u0 = (curve.slot_start[t] - (p - 1)) // p
@@ -391,8 +380,9 @@ def obstruction_coords(curve: BasicCurve) -> tuple[np.ndarray, np.ndarray, np.nd
 
 def a_number_fast(curve: BasicCurve) -> int:
     """a-number as the nullity of the obstruction matrix: dim_domain less the
-    rank of its live block, the only part that can be nonzero."""
-    live = obstruction_stack(curve, [curve.f.coeffs])[0]
+    rank of its live block, the only part that can be nonzero, ranked in the
+    build's dtype."""
+    live = obstruction_stack(curve, [curve.f.coeffs])[..., 0]
     return curve.dim_domain - rank_nullity(FpMatrix._of_residues(curve.p, live))[0]
 
 
@@ -419,7 +409,7 @@ def cartier_matrix(curve: BasicCurve) -> FpMatrix:
         if not sizes[i]:
             continue
         for t in range(i + 1):
-            g = negf[i - t][0]
+            g = negf[i - t][:, 0]
             # enough rows r to reach every coefficient of g; rows past
             # reg_bound[t] must come out zero
             rows = max(sizes[t], (len(g) + sizes[i] - 1) // p)

@@ -20,9 +20,10 @@ matrix has a layout fixed by (p, d), the cached curve.layout(p, d); a
 survey takes it once (once per worker job) and passes it on.  So a
 chunk is checked for normalization with one vectorized test, built as one
 obstruction stack and ranked by one stacked elimination; no FpPoly or
-BasicCurve is made per sample.  The build and the elimination each hold the
-sample axis last inside, (..., N), so their numpy calls walk contiguous
-memory; the stack passes between them as (N, rows, cols).  The stack holds
+BasicCurve is made per sample.  The build, the stack it hands on and the
+elimination all hold the sample axis last, (..., N), so their numpy calls
+walk contiguous memory and the stack passes between them as it was built,
+(rows, cols, N), in the build's narrow dtype.  The stack holds
 only the live blocks (Layout), the part of each matrix that can be
 nonzero, so a = dim_domain - rank of the live block.  A chunk holds at most
 CHUNK_ROWS samples and CHUNK_CELLS live-block cells, so memory stays flat for
@@ -54,12 +55,13 @@ _FIELDS = ("p", "d", "n_samples", "seed")
 DEFAULT_EXHAUSTIVE_CAP = 10**6
 
 # An engine chunk holds at most CHUNK_ROWS samples and CHUNK_CELLS
-# live-block cells (8 MB of int64 per stack).  The per-chunk numpy calls
-# dominate on the small live blocks of (3, 17) and (5, 11), 4x4 and 11x11.
+# live-block cells (per stack 2 MB in int16, 8 MB in int64).  The per-chunk
+# numpy calls dominate on the small live blocks of (3, 17) and (5, 11), 4x4
+# and 11x11.
 # Median per sample over 15 interleaved surveys of 8192 samples, on a
 # shared 2-core VM, at 128 / 512 / 1024 / 2048 / 4096 samples per chunk:
 # (3, 17) 6.8 / 2.9 / 2.0 / 1.8 / 1.9 us, (5, 11) 9.5 / 4.0 / 3.2 / 2.5 /
-# 2.4 us; the int64 stack of a chunk of 2048 at (5, 11) holds 2 MB.
+# 2.4 us; the int16 stack of a chunk of 2048 at (5, 11) holds 0.5 MB.
 # Matrices of a few hundred rows gain from chunks of several samples up to
 # the cell cap.  The seeded draw (asnum._seeded), one per chunk, costs
 # mostly numpy calls made once per draw: 2.8 us per sample in draws of 128

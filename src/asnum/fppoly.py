@@ -11,7 +11,7 @@ and normalization folds it down.
 
 import re
 
-from .numutil import is_prime
+from .numutil import check_cells, is_prime
 
 NEG_INF = float("-inf")
 
@@ -146,7 +146,11 @@ def parse_poly(text: str, p: int) -> FpPoly:
     """Parse a polynomial from text.
 
     Terms are ``c*x^e``, ``c*x``, ``x^e``, ``x`` or ``c``, joined with ``+`` or
-    ``-``; whitespace is ignored and coefficients are reduced mod p.
+    ``-``; whitespace is ignored and coefficients are reduced mod p.  The
+    dense coefficient list must stay within numutil.MAX_CELLS, checked
+    before it is allocated, so an exponent at or above MAX_CELLS raises
+    ValueError even when normalization would fold it down (x^(3^17) at
+    p = 3 is the cover of x).
     """
     s = re.sub(r"\s+", "", text)
     if not s:
@@ -171,6 +175,7 @@ def parse_poly(text: str, p: int) -> FpPoly:
         if sign == "-":
             c = -c
         coeffs[e] = coeffs.get(e, 0) + c
+    check_cells(1, max(coeffs) + 1, "polynomial")
     out = [0] * (max(coeffs) + 1)
     for e, c in coeffs.items():
         out[e] = c

@@ -36,20 +36,22 @@ whatever its shape.
 stack_ranks is a second, independent elimination for the survey engine: it
 ranks a whole stack of small matrices at once, so numpy's per-call cost is
 paid per column of the stack instead of per column of every matrix.  It
-works on a copy that holds the sample axis last, (rows, cols, N), so each
-row it updates is one contiguous run per column, in the narrowest integer
-dtype that holds (p-1)^2 + p, and reduces by a - p*(a // p).  On a single
-matrix it is slower than _echelon, so the single-matrix body keeps
-_echelon.
+takes the stack in the package's one stack format, the sample axis last,
+(rows, cols, N), as anumber.obstruction_stack builds it, so each row it
+updates is one contiguous run per column.  It works on one copy in the
+narrowest integer dtype that holds (p-1)^2 + p, and reduces by
+a - p*(a // p) (numutil._reduce).  On a single matrix it is slower than
+_echelon, so the single-matrix body keeps _echelon.
 """
 
 import numpy as np
 
-from .numutil import check_cells, check_int64_sum, is_prime, narrowest_int_dtype
+from .numutil import _reduce, check_cells, check_int64_sum, is_prime, narrowest_int_dtype
 
 
 class FpMatrix:
-    """Dense matrix over F_p; entries held reduced mod p in an int64 array."""
+    """Dense matrix over F_p; entries held reduced mod p in an integer array,
+    int64 unless the package wraps a narrower build (_of_residues)."""
 
     __slots__ = ("p", "a")
 
@@ -64,9 +66,12 @@ class FpMatrix:
 
     @classmethod
     def _of_residues(cls, p: int, a: np.ndarray) -> "FpMatrix":
-        """Wrap a 2-D int64 array of residues mod a prime p as is: no check, no copy.
+        """Wrap a 2-D integer array of residues mod a prime p as is: no check,
+        no copy.
 
-        For the package's own builds, whose output is already reduced.
+        For the package's own builds, whose output is already reduced;
+        rank_nullity copies the values into its int64 core, so a narrow
+        dtype serves it as well.
         """
         m = cls.__new__(cls)
         m.p, m.a = p, a
@@ -196,27 +201,26 @@ def _echelon(a: np.ndarray, p: int) -> int:
 
 
 def stack_ranks(a: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of the matrices a[k] of an (N, rows, cols) stack of residues mod p.
+    """Ranks of the matrices a[..., k] of a (rows, cols, N) stack of residues mod p.
 
-    ``a`` is not written to: the elimination runs on a copy with the sample
-    axis last, (rows, cols, N), column by column for the whole stack.  Each
-    matrix picks its first nonzero row among those not yet used as pivots
-    (masked argmax over axis 0), retires it through the free mask instead of
-    swapping it up, and clears that column from its other free rows by
+    The sample axis is last, as obstruction_stack builds it, in any integer
+    dtype.  ``a`` is not written to: the elimination runs on one C-order
+    copy, column by column for the whole stack.  Each matrix picks its
+    first nonzero row among those not yet used as pivots (masked argmax
+    over axis 0), retires it through the free mask instead of swapping it
+    up, and clears that column from its other free rows by
     cross-multiplication, lead * row - row[c] * pivot_row, which needs no
     inverse.  Only the union over the stack of rows that need clearing is
     updated; updating the whole block instead was slower.  Both products are
     residue products, at most (p-1)^2, so the copy is in the narrowest
     integer dtype that holds (p-1)^2 + p (numutil.narrowest_int_dtype), and
-    each update is reduced as a - p*(a // p): numpy vectorizes the integer
-    floor division, not the integer %, and the floor keeps it exact for
-    negative a.
+    each update is reduced by numutil._reduce, whose floor keeps it in
+    [0, p) for negative a too.
     """
     # both products and their difference stay within (p-1)^2 in magnitude
     check_int64_sum(1, (p - 1) ** 2, "stacked elimination")
-    n, rows, cols = a.shape
-    # a copy with the sample axis last, (rows, cols, N)
-    a = a.transpose(1, 2, 0).astype(narrowest_int_dtype((p - 1) ** 2 + p), order="C")
+    rows, cols, n = a.shape
+    a = a.astype(narrowest_int_dtype((p - 1) ** 2 + p), order="C")
     ranks = np.zeros(n, dtype=np.int64)
     free = np.ones((rows, n), dtype=bool)
     at = np.arange(n)
@@ -240,11 +244,7 @@ def stack_ranks(a: np.ndarray, p: int) -> np.ndarray:
         fac = block[:, 0] * cand[need]
         block *= lead
         block -= fac[:, None] * prow
-        # a - p * (a // p): floor division is vectorized and exact for a < 0
-        q = block // p
-        q *= p
-        block -= q
-        a[need, c:] = block
+        a[need, c:] = _reduce(block, p)
     return ranks
 
 

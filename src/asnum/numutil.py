@@ -34,6 +34,22 @@ def narrowest_int_dtype(bound: int) -> type:
     )
 
 
+def _reduce(a: np.ndarray, p: int) -> np.ndarray:
+    """Reduce the integer array ``a`` mod p in place, to [0, p); return it.
+
+    numpy's floor division by a scalar is vectorized and its integer
+    remainder is not: on 16800 int16 entries (numpy 2.4, a 2-core x86-64 VM)
+    a % p took about 60 us and a - p * (a // p) about 10 us.  The division
+    floors, so the result lies in [0, p) for negative a too.  p * (a // p)
+    lies in [0, a] for a >= 0 and in [a - p + 1, a] for a < 0, so no step
+    leaves a's dtype when that dtype holds |a| + p.
+    """
+    q = a // p
+    q *= p
+    a -= q
+    return a
+
+
 def check_cells(rows: int, cols: int, what: str) -> None:
     """Raise ValueError unless a dense rows x cols array stays within MAX_CELLS."""
     if rows * cols > MAX_CELLS:

@@ -289,10 +289,11 @@ class TestObstructionMap:
             curves = [random_curve(p, d, rng) for _ in range(24)]
             c = curves[0]
             live = obstruction_stack(c, [curve.f.coeffs for curve in curves])
-            assert live.shape == (24, *c.live_shape)
+            assert live.shape == (*c.live_shape, 24)
             lengths = np.diff(c.live_start)
             rows = np.concatenate([np.arange(s, s + k) for s, k in zip(c.row_start, lengths)])
-            for c, block, rank in zip(curves, live, stack_ranks(live.copy(), p)):
+            blocks = np.moveaxis(live, -1, 0)
+            for c, block, rank in zip(curves, blocks, stack_ranks(live.copy(), p)):
                 full = obstruction_matrix(c)
                 assert rank == rank_nullity(full)[0], (p, d, str(c.f))
                 assert c.dim_domain - rank == a_number_fast(c)
@@ -309,9 +310,9 @@ class TestObstructionMap:
                     continue
                 curves = [random_curve(p, d, rng) for _ in range(d + 2)]
                 c = curves[0]
-                single = obstruction_stack(c, [c.f.coeffs])[0]
+                single = obstruction_stack(c, [c.f.coeffs])[..., 0]
                 stacked = obstruction_stack(c, [curve.f.coeffs for curve in curves])
-                assert np.array_equal(single, stacked[0]), (p, d, str(c.f))
+                assert np.array_equal(single, stacked[..., 0]), (p, d, str(c.f))
 
     def test_empty_live_block_builds_no_powers(self, monkeypatch):
         # at d = 2 the live block has no rows, so the a-number is the genus,
@@ -324,7 +325,7 @@ class TestObstructionMap:
             c = make(p, "x^2")
             assert c.live_shape[0] == 0
             assert a_number_fast(c) == c.genus
-            assert obstruction_stack(c, [c.f.coeffs] * 3).shape == (3, *c.live_shape)
+            assert obstruction_stack(c, [c.f.coeffs] * 3).shape == (*c.live_shape, 3)
 
     @pytest.mark.parametrize(
         "p, d, dtype",
@@ -342,18 +343,19 @@ class TestObstructionMap:
             [np.arange(s, s + k) for s, k in zip(c.row_start, np.diff(c.live_start))]
         )
         stack = obstruction_stack(c, [curve.f.coeffs for curve in curves])
-        assert stack.dtype == np.int64
-        for curve, block in zip(curves, stack):
+        assert stack.dtype == dtype
+        for curve, block in zip(curves, np.moveaxis(stack, -1, 0)):
             assert np.array_equal(densified(curve)[rows, c.col_start[1] :], block)
         monkeypatch.setattr(asnum.anumber, "narrowest_int_dtype", lambda bound: np.int64)
         wide = obstruction_stack(c, [curve.f.coeffs for curve in curves])
-        assert wide.tobytes() == stack.tobytes()
+        assert wide.dtype == np.int64
+        assert np.array_equal(wide, stack)
 
     @pytest.mark.parametrize("p, d, n, ratio", [(3, 17, 600, 4.0), (5, 499, 1, 2.5)])
     def test_stack_build_peak(self, p, d, n, ratio):
         # a survey chunk and a single large curve: the narrow accumulators
-        # and padded powers keep the build's peak a small multiple of its
-        # int64 result
+        # and padded powers keep the build's peak a small multiple of the
+        # bytes its result would take in int64
         rng = np.random.default_rng(19)
         coeffs = [sample_poly(p, d, rng).coeffs for _ in range(n)]
         c = BasicCurve.from_poly(p, FpPoly(p, coeffs[0]))
@@ -364,7 +366,23 @@ class TestObstructionMap:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < ratio * stack.nbytes
+        assert peak < ratio * 8 * stack.size
+
+    def test_single_curve_build_makes_no_int64_copy(self):
+        # a stack of one is handed on in the build's narrow dtype: the peak
+        # stays below 1.6x the bytes of its live block in int64, where a
+        # further int64 copy of the block would pass it
+        rng = np.random.default_rng(19)
+        c = random_curve(5, 499, rng)
+        obstruction_stack(c, [c.f.coeffs])
+        tracemalloc.start()
+        try:
+            stack = obstruction_stack(c, [c.f.coeffs])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stack.dtype == np.int16
+        assert peak < 1.6 * 8 * stack.size
 
     def test_build_peak_stays_below_twice_the_matrix(self):
         # the build negates and reduces its accumulator in place and makes
@@ -435,12 +453,12 @@ class TestObstructionCoords:
         # coordinate: the merge must drop that key, not emit a zero
         merge, vanished = asnum.anumber._merge, []
 
-        def spy(keys, values, p, sign=1):
+        def spy(keys, values, p):
             _, at, counts = np.unique(keys, return_inverse=True, return_counts=True)
             sums = np.zeros(counts.size, dtype=np.int64)
             np.add.at(sums, at, values)
             vanished.append(bool(((counts > 1) & (sums % p == 0)).any()))
-            return merge(keys, values, p, sign)
+            return merge(keys, values, p)
 
         monkeypatch.setattr(asnum.anumber, "_merge", spy)
         assert_coords_match_dense(make(5, "x^7+4*x^4+4*x^3"))
@@ -452,7 +470,7 @@ class TestObstructionCoords:
             coeffs = sample_poly(p, d, rng).coeffs
             dense = _neg_f_power_stack(p, [coeffs])
             for e, (exps, vals) in enumerate(_neg_f_power_terms(p, coeffs)):
-                row = dense[e][0]
+                row = dense[e][:, 0]
                 assert exps == np.flatnonzero(row).tolist(), (p, e)
                 assert vals == row[exps].tolist(), (p, e)
 
@@ -604,7 +622,22 @@ class TestANumbers:
         for m in (obstruction_matrix(c), cartier_matrix(c)):
             rank = rank_nullity(m)[0]
             assert rank > 100
-            assert rank == stack_ranks(m.a[None].copy(), p)[0]
+            assert rank == stack_ranks(m.a[..., None].copy(), p)[0]
+
+    def test_cartier_invariants_fire_on_a_wrong_layout(self):
+        # the build checks its regular basis against the genus and the image
+        # of every level against the regular span, instead of assuming both
+        c = make(5, "x^11+x^8")
+        reg = c.reg_bound
+        wide = dataclasses.replace(c, reg_bound=(reg[0] + 1, *reg[1:]))
+        with pytest.raises(InvariantViolation, match="regular basis size disagrees with the genus"):
+            cartier_matrix(wide)
+        moved = dataclasses.replace(c, reg_bound=(reg[0] - 2, reg[1] + 2, *reg[2:]))
+        with pytest.raises(InvariantViolation, match="Cartier image left the regular span"):
+            cartier_matrix(moved)
+        # moving one exponent keeps every image inside the span
+        shifted = dataclasses.replace(c, reg_bound=(reg[0] - 1, reg[1] + 1, *reg[2:]))
+        assert cartier_matrix(shifted).a.shape == (c.genus, c.genus)
 
     def test_cartier_build_makes_no_second_full_copy(self):
         # the build hands its reduced array to FpMatrix without a second full copy

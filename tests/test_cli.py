@@ -1,6 +1,8 @@
 """Command-line behavior: outputs, formats, exit codes, error messages."""
 
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +133,40 @@ class TestAnumber:
         assert err.startswith("error: ") and "exceeds the limit of" in err
         assert "Traceback" not in err + out
 
+    def test_huge_exponent_is_refused_before_allocating(self, capsys):
+        # x^9999999999 would be a dense list of 10^10 coefficients; the size
+        # check comes before it, so the refusal allocates nothing of that size
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "anumber", "--p", "3", "--f", "x^9999999999")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: polynomial: 1 x 10000000000 exceeds the limit of")
+        assert peak < 2**20
+
+    def test_bad_coeffs_list(self, capsys):
+        code, out, err = run(capsys, "anumber", "--p", "5", "--coeffs", "1,x")
+        assert code == 1
+        assert out == ""
+        assert err == "parse error: bad --coeffs list: '1,x'\n"
+
+    def test_method_disagreement_exits_1(self, capsys, monkeypatch):
+        real = asnum.cli.report
+
+        def skewed(curve, method="fast"):
+            rep = real(curve, method)
+            return dataclasses.replace(rep, a=rep.a + 1) if method == "oracle" else rep
+
+        monkeypatch.setattr(asnum.cli, "report", skewed)
+        code, out, err = run(capsys, "anumber", "--p", "5", "--f", "x^11+x^8", "--method", "both")
+        assert code == 1
+        assert "a-number (fast) = 10" in out and "a-number (oracle) = 11" in out
+        assert "methods agree" not in out
+        assert err == "METHOD DISAGREEMENT: fast=10 oracle=11\n"
+
     def test_invariant_violation_exits_3(self, capsys, monkeypatch):
         def broken(curve, method="fast"):
             raise InvariantViolation("a = 9 outside [1, 1]")
@@ -157,6 +193,22 @@ class TestFamily:
         code, out, _ = run(capsys, "family", "--p", "3", "--dmax", "40")
         assert code == 0
         assert "27/27 families attain the bound" in out
+
+    def test_range_sweep_reports_a_failing_member(self, capsys, monkeypatch):
+        real = asnum.cli.verify_family
+
+        def failing_at_7(p, d):
+            check = real(p, d)
+            return dataclasses.replace(check, a=check.a + 1) if d == 7 else check
+
+        monkeypatch.setattr(asnum.cli, "verify_family", failing_at_7)
+        code, out, _ = run(capsys, "family", "--p", "3", "--dmax", "10")
+        assert code == 1
+        check = real(3, 7)
+        assert out.splitlines() == [
+            f"FAIL d=7 f={check.f} a={check.a + 1} L={check.bound}",
+            "d <= 10: 6/7 families attain the bound",
+        ]
 
     @pytest.mark.parametrize("dmax", ["0", "-5"])
     def test_range_rejects_dmax_below_one(self, capsys, dmax):

@@ -191,6 +191,18 @@ class TestLayout:
         assert layout(7, 30) is not layout(7, 31)
         assert layout.cache_info().maxsize == LAYOUT_CACHE
 
+    def test_levels_with_columns_are_a_prefix(self):
+        # reg_bound never rises from one level to the next, so the levels
+        # with columns are 0 .. top, as the obstruction build assumes
+        for p in (2, 3, 5, 7, 11, 13):
+            for d in range(1, 90):
+                if d % p == 0:
+                    continue
+                lay = layout(p, d)
+                assert all(a >= b for a, b in zip(lay.reg_bound, lay.reg_bound[1:])), (p, d)
+                has = [hi > lo for lo, hi in zip(lay.col_start, lay.col_start[1:])]
+                assert has == sorted(has, reverse=True), (p, d)
+
     def test_degree_divisible_by_p_rejected(self):
         with pytest.raises(ValueError, match="divisible by p"):
             layout(3, 6)

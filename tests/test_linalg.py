@@ -109,7 +109,7 @@ def test_elimination_checks_int64_headroom():
     with pytest.raises(HeadroomError, match="elimination"):
         rank_nullity(m)
     with pytest.raises(HeadroomError, match="stacked elimination"):
-        stack_ranks(m.a[None].copy(), p)
+        stack_ranks(m.a[..., None].copy(), p)
 
 
 # the largest prime with (p-1)^2 <= INT64_MAX, where _echelon reduces its block
@@ -286,9 +286,10 @@ def test_stack_ranks_match_rank_nullity(p):
             # products of random factors give every rank up to min(rows, cols)
             left = rng.integers(0, p, size=(30, rows, inner))
             right = rng.integers(0, p, size=(30, inner, cols))
-            stack = (left @ right) % p
-            stack[::7] = 0
-            expect = [rank_nullity(FpMatrix(p, m))[0] for m in stack]
+            # (rows, cols, N), a strided view: stack_ranks takes any layout
+            stack = np.moveaxis((left @ right) % p, 0, -1)
+            stack[..., ::7] = 0
+            expect = [rank_nullity(FpMatrix(p, m))[0] for m in np.moveaxis(stack, -1, 0)]
             assert stack_ranks(stack, p).tolist() == expect, (rows, cols, inner)
 
 
@@ -303,10 +304,10 @@ def test_stack_ranks_dtype_edges(p, dtype, monkeypatch):
             # products in Python ints: at EDGE_P they pass int64
             left = rng.integers(0, p, size=(12, rows, inner)).astype(object)
             right = rng.integers(0, p, size=(12, inner, cols)).astype(object)
-            stack = ((left @ right) % p).astype(np.int64)
-            stack[::5] = 0
+            stack = np.moveaxis((left @ right) % p, 0, -1).astype(np.int64, order="C")
+            stack[..., ::5] = 0
             before = stack.copy()
-            expect = [rank_nullity(FpMatrix(p, m))[0] for m in stack]
+            expect = [rank_nullity(FpMatrix(p, m))[0] for m in np.moveaxis(stack, -1, 0)]
             assert stack_ranks(stack, p).tolist() == expect, (rows, cols, inner)
             assert np.array_equal(stack, before)
             with monkeypatch.context() as m:
