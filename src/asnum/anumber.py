@@ -54,10 +54,17 @@ columns on), and depend on no lower level: a Python loop over the level
 pairs and terms records each progression as a few scalars, one expansion
 makes every level's unit coordinates at once, and each level then adds
 its shifted higher components and sums duplicates in one sort.  So numpy
-runs a fixed number of calls per level, and none per term.  The family
-check ranks its members this way (linalg.coords_rank_nullity).  Dense f
-keeps the dense build, which is faster there; the tests check that both
-builds give the same matrix.
+runs a fixed number of calls per level, and none per term.  Like the dense
+build, it sweeps only the levels 0 .. top that have columns, and builds
+nothing for an empty live block.
+
+a_number_fast is the one fast path for a single curve, and the only place
+that picks a build: an f with at most three nonzero terms, every family
+member among them, takes the coordinate build, ranked in coordinate form
+(linalg.coords_rank_nullity), and any other f the dense live block, which
+is faster there.  So a sparse f whose dense live block would pass
+numutil.MAX_CELLS is still ranked; its coordinates have a limit of their
+own.  The tests check that both builds give the same matrix.
 
 The p-rank is 0.  The oracle certifies it on the matrix it builds: in the
 level-major basis the Cartier operator sends x^j y^i dx either to a lower
@@ -76,7 +83,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .bounds import lower_bound_single
 from .curve import BasicCurve, Layout
-from .linalg import FpMatrix, rank_nullity
+from .linalg import FpMatrix, coords_rank_nullity, rank_nullity
 from .numutil import _reduce, check_cells, check_int64_sum, narrowest_int_dtype
 
 
@@ -145,6 +152,14 @@ def _check_build_headroom(layout: Layout) -> int:
     return (p - 1) * rows * (p - 1) ** 2
 
 
+def _top_level(layout: Layout) -> int:
+    """The highest level with columns.  The levels with columns are the
+    prefix 0 .. top, since reg_bound never rises, so the levels above add
+    nothing to either obstruction build."""
+    col = layout.col_start
+    return max((i for i in range(layout.p) if col[i + 1] > col[i]), default=0)
+
+
 def obstruction_matrix(curve: BasicCurve) -> FpMatrix:
     """Matrix of the obstruction map over the kernel-tuple basis.
 
@@ -205,8 +220,7 @@ def obstruction_stack(layout: Layout, coeffs) -> np.ndarray:
     if shape[0] == 0:
         return np.zeros((*shape, len(coeffs)), dtype=dtype)
     col, live = layout.col_start, layout.live_start
-    # the levels with columns are 0 .. top; those above add nothing
-    top = max((i for i in range(p) if col[i + 1] > col[i]), default=0)
+    top = _top_level(layout)
     negf = _neg_f_power_stack(p, coeffs, top)
     n = negf[0].shape[1]
     # each level's column exponents, by the Layout's column map
@@ -264,8 +278,8 @@ def _merge(keys: np.ndarray, values: np.ndarray, p: int):
     return keys[nz], values[nz]
 
 
-def _neg_f_power_terms(p: int, coeffs) -> list[tuple[list[int], list[int]]]:
-    """(exponents, values) of the nonzero terms of (-f)^e for e = 0 .. p-1.
+def _neg_f_power_terms(p: int, coeffs, top: int) -> list[tuple[list[int], list[int]]]:
+    """(exponents, values) of the nonzero terms of (-f)^e for e = 0 .. top.
 
     Lists of Python ints, per power the exponents ascending and the values
     residues in [1, p).  Each power is the previous one times -f, multiplied
@@ -277,7 +291,7 @@ def _neg_f_power_terms(p: int, coeffs) -> list[tuple[list[int], list[int]]]:
     terms = [(e, -c % p) for e, c in enumerate(coeffs) if c % p]
     check_int64_sum(len(terms), (p - 1) ** 2, "(-f)^e table")
     powers = [([0], [1])]
-    for _ in range(1, p):
+    for _ in range(top):
         acc: dict[int, int] = {}
         for a, u in zip(*powers[-1]):
             for b, w in terms:
@@ -292,9 +306,11 @@ def obstruction_coords(curve: BasicCurve) -> tuple[np.ndarray, np.ndarray, np.nd
 
     Densified into a (dim_obstruction, dim_domain) array, the coordinates
     give obstruction_matrix(curve); each appears once, with a nonzero
-    residue.  The sweep is obstruction_stack's, over t = p-2 .. 0, on
-    coordinate lists keyed u * dim_domain + column (u the compressed row)
-    that follow only the nonzero terms x^e of comb(src, t) * (-f)^(src-t).
+    residue.  The sweep is obstruction_stack's, over t = top-1 .. 0 (top
+    the highest level with columns), with nothing built when the live block
+    is empty, on coordinate lists keyed u * dim_domain + column (u the
+    compressed row) that follow only the nonzero terms x^e of
+    comb(src, t) * (-f)^(src-t).
     A unit monomial x^j of a column topped at src lands at compressed row
     (j + e + 1)/p - 1 when j + e = -1 (mod p), that is for j = r + p*m with
     r = (-1 - e) mod p < p - 1 and 0 <= m <= (reg_bound[src] - r)//p; its
@@ -303,17 +319,22 @@ def obstruction_coords(curve: BasicCurve) -> tuple[np.ndarray, np.ndarray, np.nd
     coordinate depends on another level's result, so one Python loop over
     every level pair and term, on Python ints, collects a (base, count,
     value) run per progression, and one np.repeat/arange expansion makes all
-    their keys and values, in level order.  A compressed component of a
-    higher column moves down e/p rows when p divides e: level t takes its
+    their keys and values, in level order; their count must stay within
+    numutil.MAX_CELLS, checked before the expansion.  A compressed component
+    of a higher column moves down e/p rows when p divides e: level t takes its
     slice of the expansion plus one shifted, scaled copy of comp[src] per
     such term, and sums duplicates in one _merge.  So numpy runs a fixed
     number of calls per level, none per term, and work and memory follow the
-    nonzeros, not the matrix size: this suits f with few terms, such as the
-    family members; for dense f the dense build is faster.
+    nonzeros, not the matrix size: this suits f with few terms, which
+    a_number_fast hands it; for dense f the dense build is faster.
     """
     p = curve.p
     _check_build_headroom(curve)
-    negf = _neg_f_power_terms(p, curve.f.coeffs)
+    empty = np.zeros(0, dtype=np.int64)
+    if curve.live_start[-1] == 0:
+        return empty, empty, empty
+    top = _top_level(curve)
+    negf = _neg_f_power_terms(p, curve.f.coeffs, top)
     ncols = curve.dim_domain
     col, row, reg = curve.col_start, curve.row_start, curve.reg_bound
     step = ncols + p - 1
@@ -329,8 +350,8 @@ def obstruction_coords(curve: BasicCurve) -> tuple[np.ndarray, np.ndarray, np.nd
     # keys are base + step * index, so its base is taken less step * total
     bases, counts, values, ends = [], [], [], []
     total = 0
-    for t in range(p - 2, -1, -1):
-        for src in range(t + 1, p):
+    for t in range(top - 1, -1, -1):
+        for src in range(t + 1, top + 1):
             bound = reg[src]
             scale = math.comb(src, t) % p
             for key, r, v in units[src - t]:
@@ -341,20 +362,20 @@ def obstruction_coords(curve: BasicCurve) -> tuple[np.ndarray, np.ndarray, np.nd
                     values.append(scale * v % p)
                     total += count
         ends.append(total)
+    check_cells(1, total, "obstruction coordinates")
     unit_keys = np.repeat(np.array(bases, dtype=np.int64), counts)
     unit_keys += step * np.arange(total)
     unit_vals = np.repeat(np.array(values, dtype=np.int64), counts)
-    empty = np.zeros(0, dtype=np.int64)
     # comp[t]: compressed level-t components of the columns col[t+1]: onwards,
     # as ascending keys and their values
     comp = [(empty, empty)] * p
     out = [[empty], [empty], [empty]]
     lo = 0
-    for t, hi in zip(range(p - 2, -1, -1), ends):
+    for t, hi in zip(range(top - 1, -1, -1), ends):
         # (keys, values, key shift, scale) of each part of the level's sum
         parts = [(unit_keys[lo:hi], unit_vals[lo:hi], 0, 1)]
         lo = hi
-        for src in range(t + 1, p):
+        for src in range(t + 1, top + 1):
             w_keys, w_vals = comp[src]
             if w_keys.size:
                 scale = math.comb(src, t) % p
@@ -378,12 +399,32 @@ def obstruction_coords(curve: BasicCurve) -> tuple[np.ndarray, np.ndarray, np.nd
     return tuple(np.concatenate(part) for part in out)
 
 
+# An f with at most this many nonzero terms takes the coordinate build.  Its
+# time over the dense build's (build and rank, minimum of 5 alternating
+# calls, one random f per point, 2-core x86-64 VM): with 1-3 terms, 180
+# curves at p in {2, 3, 5, 7, 11, 13} and 2 <= d <= 701, median 0.39,
+# worst 1.06; with 6 and 8 terms at (13, 60), 1.51 and 2.13.  Every family
+# member has at most three terms.
+_COORDS_MAX_TERMS = 3
+
+
 def a_number_fast(curve: BasicCurve) -> int:
-    """a-number as the nullity of the obstruction matrix: dim_domain less the
-    rank of its live block, the only part that can be nonzero, ranked in the
-    build's dtype."""
-    live = obstruction_stack(curve, [curve.f.coeffs])[..., 0]
-    return curve.dim_domain - rank_nullity(FpMatrix._of_residues(curve.p, live))[0]
+    """a-number as the nullity of the obstruction matrix, the one fast path
+    for a single curve; it picks the build from f.
+
+    An f of at most _COORDS_MAX_TERMS nonzero terms, every family member
+    among them, takes the coordinate build, ranked in coordinate form: its
+    cost follows the nonzeros, so it also serves sparse f whose dense live
+    block would pass numutil.MAX_CELLS.  Any other f takes the dense live
+    block, the only part that can be nonzero, ranked in the build's dtype;
+    the nullity is dim_domain less its rank.
+    """
+    p, coeffs = curve.p, curve.f.coeffs
+    if len(coeffs) - coeffs.count(0) <= _COORDS_MAX_TERMS:
+        shape = (curve.dim_obstruction, curve.dim_domain)
+        return coords_rank_nullity(p, obstruction_coords(curve), shape)[1]
+    live = obstruction_stack(curve, [coeffs])[..., 0]
+    return curve.dim_domain - rank_nullity(FpMatrix._of_residues(p, live))[0]
 
 
 def cartier_matrix(curve: BasicCurve) -> FpMatrix:

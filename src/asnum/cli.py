@@ -5,14 +5,16 @@ stable and line-oriented; experiment results can also be written as CSV or
 JSON (see experiments module for the schemas).  The worker count of
 experiment defaults to the ASNUM_THREADS environment variable.
 
-Exit codes: 0 on success; 1 for bad input (including a curve whose matrix
-would pass the dense-array limit of 2^26 cells, refused before allocating
-and reported as "error: ..."), a failed family check or a disagreement
+Exit codes: 0 on success; 1 for bad input (including a polynomial, matrix
+or coordinate list that would pass the limit of 2^26 cells, refused before
+allocating and reported as "error: ..."), a family member whose a-number
+lies above the bound (MISMATCH) or a disagreement
 between the two a-number methods; 2 for an argument error caught
 by the parser (a usage line and "error: ..."), such as a non-prime --p or a
 --threads / ASNUM_THREADS that is not a positive integer; 3 when an internal
 invariant of the computation is violated (a bug, reported as
-"invariant violated: ...").
+"invariant violated: ..."), among them an a-number outside [L(d), genus]
+in anumber or family.
 """
 
 import argparse

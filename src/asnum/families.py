@@ -22,21 +22,21 @@ acceptance sweeps).  For p = 7, where the paper leaves the question mostly
 open, its patching reduction turns this into: for an ordinary X, the bound
 is realized for every branch locus whose jumps are all verified degrees.
 
-``verify_family`` builds and ranks the obstruction matrix of a member in
-coordinate form.  A member has at most three terms, so the matrix is almost
-empty (about 0.07 % nonzero at p = 5, d = 499).  At every verified degree it
-peels to an empty core, except for 2 x 2 cores at p = 5, d = 9 and 18, and
-4 x 4 cores at p = 7, d = 13 and 26.
+``verify_family`` takes the a-number and the bound from the fast report
+(anumber.report), so a member's a outside [L(d), genus] raises
+InvariantViolation.  A member has at most three terms, so a_number_fast
+builds and ranks its obstruction matrix in coordinate form; the matrix is
+almost empty (about 0.07 % nonzero at p = 5, d = 499).  At every verified
+degree it peels to an empty core, except for 2 x 2 cores at p = 5, d = 9 and
+18, and 4 x 4 cores at p = 7, d = 13 and 26.
 """
 
 from dataclasses import dataclass
 
-from .anumber import obstruction_coords
-from .bounds import lower_bound_single
+from .anumber import report
 from .curve import BasicCurve
 from .fppoly import FpPoly
-from .linalg import coords_rank_nullity
-from .numutil import check_degree
+from .numutil import check_cells, check_degree
 
 # p -> the strategy name of the binomial rule; its keys are the primes served
 _BINOMIAL = {3: "p3", 5: "p5_binomial", 7: "p7_binomial"}
@@ -74,8 +74,14 @@ FIXED = {
 
 
 def _unit_poly(p: int, exponents) -> FpPoly:
-    """The sum of x^e over the exponents; coinciding exponents add."""
-    coeffs = [0] * (max(exponents) + 1)
+    """The sum of x^e over the exponents; coinciding exponents add.
+
+    Raises ValueError before allocating when the dense coefficient list
+    would pass numutil.MAX_CELLS, the limit parse_poly applies to text.
+    """
+    size = max(exponents) + 1
+    check_cells(1, size, "polynomial")
+    coeffs = [0] * size
     for e in exponents:
         coeffs[e] += 1
     return FpPoly(p, coeffs)
@@ -131,15 +137,11 @@ class FamilyCheck:
 def verify_family(p: int, d: int) -> FamilyCheck:
     """Build the family member for (p, d) and compare its a-number to the bound.
 
-    The a-number is the fast method's nullity of the obstruction matrix,
-    built and ranked in coordinate form: a member has at most three terms,
-    so its matrix is almost empty, and it peels to an empty core or one of
-    at most 4 x 4 (see the module docstring).
+    The a-number and the bound are those of report(curve, "fast"), which
+    raises InvariantViolation when a falls outside [L(d), genus].  A member
+    has at most three terms, so the fast path ranks it in coordinate form
+    (see the module docstring).
     """
     f, strategy = minimal_family(p, d)
-    curve = BasicCurve.from_poly(p, f)
-    shape = (curve.dim_obstruction, curve.dim_domain)
-    a = coords_rank_nullity(p, obstruction_coords(curve), shape)[1]
-    return FamilyCheck(
-        p=p, d=d, strategy=strategy, f=f, a=a, bound=lower_bound_single(p, d)
-    )
+    rep = report(BasicCurve.from_poly(p, f), "fast")
+    return FamilyCheck(p=p, d=d, strategy=strategy, f=f, a=rep.a, bound=rep.lower_bound)

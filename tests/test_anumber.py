@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import asnum.anumber
+import asnum.numutil
 from asnum.anumber import (
     ANumberReport,
     InvariantViolation,
@@ -248,7 +249,7 @@ class TestObstructionMap:
         with pytest.raises(HeadroomError, match=r"\(-f\)\^e table"):
             _neg_f_power_stack(p, [(1, 1)])
         with pytest.raises(HeadroomError, match=r"\(-f\)\^e table"):
-            _neg_f_power_terms(p, (1, 1))
+            _neg_f_power_terms(p, (1, 1), p - 1)
 
     def test_shapes_on_degenerate_curves(self):
         c = make(3, "x^2")
@@ -321,6 +322,7 @@ class TestObstructionMap:
             raise AssertionError("power table built for an empty live block")
 
         monkeypatch.setattr(asnum.anumber, "_neg_f_power_stack", no_powers)
+        monkeypatch.setattr(asnum.anumber, "_neg_f_power_terms", no_powers)
         for p in (3, 13, 101, 1009):
             c = make(p, "x^2")
             assert c.live_shape[0] == 0
@@ -464,12 +466,56 @@ class TestObstructionCoords:
         assert_coords_match_dense(make(5, "x^7+4*x^4+4*x^3"))
         assert any(vanished)
 
+    def test_report_takes_the_coordinate_build_for_at_most_three_terms(self, monkeypatch):
+        # a_number_fast picks the build from f: both sides of the choice,
+        # checked against the oracle
+        coords, calls = asnum.anumber.obstruction_coords, []
+
+        def spy(curve):
+            calls.append(curve)
+            return coords(curve)
+
+        monkeypatch.setattr(asnum.anumber, "obstruction_coords", spy)
+        rng = np.random.default_rng(43)
+        for p in (2, 3, 5, 7, 11, 13):
+            for d in (7, 25, 60):
+                lower = [e for e in range(1, d) if e % p]
+                for terms in range(1, 6):
+                    if d % p == 0 or terms > len(lower) + 1:
+                        continue
+                    coeffs = [0] * (d + 1)
+                    for e in [d, *rng.choice(lower, terms - 1, replace=False)]:
+                        coeffs[e] = int(rng.integers(1, p))
+                    c = BasicCurve.from_poly(p, FpPoly(p, coeffs))
+                    assert sum(map(bool, c.f.coeffs)) == terms
+                    calls.clear()
+                    assert report(c, "fast").a == a_number_oracle(c), (p, str(c.f))
+                    assert len(calls) == (terms <= 3), (p, str(c.f))
+
+    def test_coordinate_count_is_checked_before_expanding(self, monkeypatch):
+        # with np.repeat unavailable in asnum.anumber, the expansion of the
+        # unit coordinates fails the test unless the size check comes first
+        class NoRepeat:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def repeat(self, *args, **kwargs):
+                raise AssertionError("np.repeat called before the size check")
+
+        c = BasicCurve.from_poly(5, minimal_family(5, 499)[0])
+        # the member's 480 unit coordinates pass a limit of 479 cells by one
+        monkeypatch.setattr(asnum.numutil, "MAX_CELLS", 479)
+        monkeypatch.setattr(asnum.anumber, "np", NoRepeat())
+        limit = "obstruction coordinates: 1 x 480 exceeds the limit of 479 "
+        with pytest.raises(ValueError, match=limit):
+            a_number_fast(c)
+
     def test_power_terms_match_the_dense_table(self):
         rng = np.random.default_rng(41)
         for p, d in ((2, 9), (3, 10), (7, 12), (13, 5)):
             coeffs = sample_poly(p, d, rng).coeffs
             dense = _neg_f_power_stack(p, [coeffs])
-            for e, (exps, vals) in enumerate(_neg_f_power_terms(p, coeffs)):
+            for e, (exps, vals) in enumerate(_neg_f_power_terms(p, coeffs, p - 1)):
                 row = dense[e][:, 0]
                 assert exps == np.flatnonzero(row).tolist(), (p, e)
                 assert vals == row[exps].tolist(), (p, e)

@@ -13,6 +13,7 @@ from asnum.anumber import InvariantViolation
 from asnum.bounds import lower_bound_single
 from asnum.cli import main
 from asnum.experiments import Distribution
+from reference import monomial_a_number
 
 
 def run(capsys, *argv):
@@ -111,9 +112,16 @@ class TestAnumber:
         assert "methods agree" in out
         assert len(built) == 1
 
-    @pytest.mark.parametrize("method", ["fast", "oracle"])
+    @pytest.mark.parametrize(
+        "method, f",
+        [
+            # four terms: the fast path takes the dense build
+            pytest.param("fast", "x^100001+x^3+x^2+x", id="fast"),
+            pytest.param("oracle", "x^100001", id="oracle"),
+        ],
+    )
     def test_oversized_matrix_is_refused_before_allocating(
-        self, capsys, monkeypatch, method
+        self, capsys, monkeypatch, method, f
     ):
         # d = 100001 asks for a 191 GiB obstruction matrix and a 298 GiB
         # Cartier matrix; with np.zeros unavailable in asnum.anumber, an array
@@ -126,12 +134,27 @@ class TestAnumber:
                 raise AssertionError("np.zeros called before the size check")
 
         monkeypatch.setattr(asnum.anumber, "np", NoZeros())
-        code, out, err = run(
-            capsys, "anumber", "--p", "5", "--f", "x^100001", "--method", method
-        )
+        code, out, err = run(capsys, "anumber", "--p", "5", "--f", f, "--method", method)
         assert code == 1
         assert err.startswith("error: ") and "exceeds the limit of" in err
         assert "Traceback" not in err + out
+
+    @pytest.mark.parametrize(
+        "p, f, a, closed_form",
+        [
+            # the dense live blocks of the first two are 96000 x 96000 and
+            # 9144 x 9144, over the limit; the coordinate build ranks them
+            (5, "x^100001", 120000, monomial_a_number(5, 100001)),
+            (7, "x^4978+x^2846", 7314, lower_bound_single(7, 4978)),
+            (503, "x^3", 502, monomial_a_number(503, 3)),
+        ],
+    )
+    def test_sparse_curves_take_the_coordinate_build(self, capsys, p, f, a, closed_form):
+        # each a-number against a closed form that shares no code with either path
+        code, out, err = run(capsys, "anumber", "--p", str(p), "--f", f)
+        assert code == 0 and err == ""
+        assert f"a-number (fast) = {a}\n" in out
+        assert a == closed_form
 
     def test_huge_exponent_is_refused_before_allocating(self, capsys):
         # x^9999999999 would be a dense list of 10^10 coefficients; the size
@@ -209,6 +232,28 @@ class TestFamily:
             f"FAIL d=7 f={check.f} a={check.a + 1} L={check.bound}",
             "d <= 10: 6/7 families attain the bound",
         ]
+
+    def test_huge_degree_is_refused_before_allocating(self, capsys):
+        # the member x^1000000001 + ... would be a dense list of 10^9
+        # coefficients; the size check comes before it
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "family", "--p", "5", "--d", "1000000001")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: polynomial: 1 x 1000000002 exceeds the limit of")
+        assert peak < 2**20
+
+    def test_invariant_violation_exits_3(self, capsys, monkeypatch):
+        # the family check is the fast report, so a below L(d) is a bug
+        monkeypatch.setattr(asnum.anumber, "a_number_fast", lambda curve: 0)
+        code, out, err = run(capsys, "family", "--p", "5", "--d", "11", "--verify")
+        assert code == 3
+        assert out == ""
+        assert err == "invariant violated: a = 0 outside [10, 20]\n"
 
     @pytest.mark.parametrize("dmax", ["0", "-5"])
     def test_range_rejects_dmax_below_one(self, capsys, dmax):
