@@ -59,12 +59,15 @@ build, it sweeps only the levels 0 .. top that have columns, and builds
 nothing for an empty live block.
 
 a_number_fast is the one fast path for a single curve, and the only place
-that picks a build: an f with at most three nonzero terms, every family
+that picks a build: an f with at most three nonzero terms whose powers stay
+sparse ((-f)^top can have at most _COORDS_MAX_FILL terms), every family
 member among them, takes the coordinate build, ranked in coordinate form
 (linalg.coords_rank_nullity), and any other f the dense live block, which
 is faster there.  So a sparse f whose dense live block would pass
-numutil.MAX_CELLS is still ranked; its coordinates have a limit of their
-own.  The tests check that both builds give the same matrix.
+numutil.MAX_CELLS is still ranked.  The coordinate build has a limit of its
+own: the entries it holds, table terms, runs and coordinates, are counted
+against numutil.MAX_CELLS before each stage grows them.  The tests check
+that both builds give the same matrix.
 
 The p-rank is 0.  The oracle certifies it on the matrix it builds: in the
 level-major basis the Cartier operator sends x^j y^i dx either to a lower
@@ -278,6 +281,16 @@ def _merge(keys: np.ndarray, values: np.ndarray, p: int):
     return keys[nz], values[nz]
 
 
+# int64 cells an entry of the coordinate build (a table term, a run or a
+# coordinate) is counted as against numutil.MAX_CELLS, so that the build stays
+# near the limit's 512 MiB.  tracemalloc peak of obstruction_coords per entry
+# counted (2-core x86-64 VM): 38-81 bytes on monomials, binomials, trinomials
+# and family members holding up to 1.7M entries; 71 on the table of
+# x^1000 + x^2 + x at p = 1009, where it stops; 111 on x^5 + x^2 at p = 503,
+# whose table of Python ints dominates.
+_COORD_CELLS = 16
+
+
 def _neg_f_power_terms(p: int, coeffs, top: int) -> list[tuple[list[int], list[int]]]:
     """(exponents, values) of the nonzero terms of (-f)^e for e = 0 .. top.
 
@@ -286,18 +299,23 @@ def _neg_f_power_terms(p: int, coeffs, top: int) -> list[tuple[list[int], list[i
     term by term: the f this table serves have few terms, where numpy's
     per-call cost would exceed the products themselves.  An entry sums at
     most one product below p^2 per nonzero term of f, checked before
-    anything is built.
+    anything is built.  The powers of an f with several terms fill in, so
+    before each product the terms held, plus the most that product can
+    make, must stay within numutil.MAX_CELLS at _COORD_CELLS cells a term.
     """
     terms = [(e, -c % p) for e, c in enumerate(coeffs) if c % p]
     check_int64_sum(len(terms), (p - 1) ** 2, "(-f)^e table")
     powers = [([0], [1])]
+    held = 1
     for _ in range(top):
+        check_cells(_COORD_CELLS, held + len(powers[-1][0]) * len(terms), "(-f)^e terms")
         acc: dict[int, int] = {}
         for a, u in zip(*powers[-1]):
             for b, w in terms:
                 acc[a + b] = acc.get(a + b, 0) + u * w
         exps = sorted(e for e, v in acc.items() if v % p)
         powers.append((exps, [acc[e] % p for e in exps]))
+        held += len(exps)
     return powers
 
 
@@ -319,14 +337,18 @@ def obstruction_coords(curve: BasicCurve) -> tuple[np.ndarray, np.ndarray, np.nd
     coordinate depends on another level's result, so one Python loop over
     every level pair and term, on Python ints, collects a (base, count,
     value) run per progression, and one np.repeat/arange expansion makes all
-    their keys and values, in level order; their count must stay within
-    numutil.MAX_CELLS, checked before the expansion.  A compressed component
+    their keys and values, in level order.  A compressed component
     of a higher column moves down e/p rows when p divides e: level t takes its
     slice of the expansion plus one shifted, scaled copy of comp[src] per
     such term, and sums duplicates in one _merge.  So numpy runs a fixed
     number of calls per level, none per term, and work and memory follow the
     nonzeros, not the matrix size: this suits f with few terms, which
-    a_number_fast hands it; for dense f the dense build is faster.
+    a_number_fast hands it; for dense f the dense build is faster.  The
+    entries the build holds (table terms, runs, coordinates) are counted at
+    _COORD_CELLS int64 cells each and must stay within numutil.MAX_CELLS:
+    the table checks its own before each product, the runs after each
+    level of the Python loop, the unit coordinates before the expansion and
+    each level's sum before its concatenation.
     """
     p = curve.p
     _check_build_headroom(curve)
@@ -346,6 +368,8 @@ def obstruction_coords(curve: BasicCurve) -> tuple[np.ndarray, np.ndarray, np.nd
         for power in negf
     ]
     shifts = [[(e // p * ncols, v) for e, v in zip(*power) if e % p == 0] for power in negf]
+    # entries held until the end: the table's terms, each in units or shifts
+    held = sum(map(len, units)) + sum(map(len, shifts))
     # a run holds entries total .. total + count - 1 of the expansion, whose
     # keys are base + step * index, so its base is taken less step * total
     bases, counts, values, ends = [], [], [], []
@@ -362,7 +386,10 @@ def obstruction_coords(curve: BasicCurve) -> tuple[np.ndarray, np.ndarray, np.nd
                     values.append(scale * v % p)
                     total += count
         ends.append(total)
-    check_cells(1, total, "obstruction coordinates")
+        # a level adds at most one run per table term
+        check_cells(_COORD_CELLS, held + len(bases), "obstruction coordinate runs")
+    held += len(bases) + total
+    check_cells(_COORD_CELLS, held, "obstruction coordinates")
     unit_keys = np.repeat(np.array(bases, dtype=np.int64), counts)
     unit_keys += step * np.arange(total)
     unit_vals = np.repeat(np.array(values, dtype=np.int64), counts)
@@ -381,12 +408,15 @@ def obstruction_coords(curve: BasicCurve) -> tuple[np.ndarray, np.ndarray, np.nd
                 scale = math.comb(src, t) % p
                 parts += [(w_keys, w_vals, s, scale * v % p) for s, v in shifts[src - t]]
         part_keys, part_vals, moves, scales = zip(*parts)
+        sizes = [k.size for k in part_keys]
+        # the level's sum adds its shifted copies to the coordinates held
+        check_cells(_COORD_CELLS, held + sum(sizes[1:]), "obstruction coordinates")
         keys, vals = np.concatenate(part_keys), np.concatenate(part_vals)
         if len(parts) > 1:
-            sizes = [k.size for k in part_keys]
             keys += np.repeat(moves, sizes)
             vals *= np.repeat(scales, sizes)
         keys, vals = comp[t] = _merge(keys, vals, p)
+        held += keys.size
         if curve.slot_count[t]:
             # the obstruction rows of level t are a run of the sorted keys
             u0 = (curve.slot_start[t] - (p - 1)) // p
@@ -399,28 +429,36 @@ def obstruction_coords(curve: BasicCurve) -> tuple[np.ndarray, np.ndarray, np.nd
     return tuple(np.concatenate(part) for part in out)
 
 
-# An f with at most this many nonzero terms takes the coordinate build.  Its
-# time over the dense build's (build and rank, minimum of 5 alternating
-# calls, one random f per point, 2-core x86-64 VM): with 1-3 terms, 180
-# curves at p in {2, 3, 5, 7, 11, 13} and 2 <= d <= 701, median 0.39,
-# worst 1.06; with 6 and 8 terms at (13, 60), 1.51 and 2.13.  Every family
-# member has at most three terms.
+# An f of n <= _COORDS_MAX_TERMS nonzero terms whose top power (-f)^top can
+# have at most _COORDS_MAX_FILL terms, comb(top + n - 1, n - 1), takes the
+# coordinate build.  Its time over the dense build's (build and rank, minimum
+# of 3-7 alternating calls, one random f per point, 2-core x86-64 VM): with
+# 1-3 terms, 180 curves at p in {2, 3, 5, 7, 11, 13} and 2 <= d <= 701,
+# median 0.39, worst 1.06; monomials at p in {31, 101}, 0.03-0.24; binomials
+# at p in {31, 43, 61, 101, 211, 503} (fill up to 402), 0.10-0.50;
+# trinomials at p = 31 (fill 496), 0.37-0.91, but at p = 37 (fill 666)
+# 0.44-1.08 and at p = 101 (fill 5151) up to 1.95.  With 6 and 8 terms at
+# (13, 60), 1.51 and 2.13.  Every family member (p <= 7) has at most three
+# terms and a fill of at most 28.
 _COORDS_MAX_TERMS = 3
+_COORDS_MAX_FILL = 500
 
 
 def a_number_fast(curve: BasicCurve) -> int:
     """a-number as the nullity of the obstruction matrix, the one fast path
     for a single curve; it picks the build from f.
 
-    An f of at most _COORDS_MAX_TERMS nonzero terms, every family member
-    among them, takes the coordinate build, ranked in coordinate form: its
-    cost follows the nonzeros, so it also serves sparse f whose dense live
-    block would pass numutil.MAX_CELLS.  Any other f takes the dense live
-    block, the only part that can be nonzero, ranked in the build's dtype;
-    the nullity is dim_domain less its rank.
+    An f of at most _COORDS_MAX_TERMS nonzero terms whose powers stay sparse
+    (at most _COORDS_MAX_FILL terms in (-f)^top), every family member among
+    them, takes the coordinate build, ranked in coordinate form: its cost
+    follows the nonzeros, so it also serves sparse f whose dense live block
+    would pass numutil.MAX_CELLS.  Any other f takes the dense live block,
+    the only part that can be nonzero, ranked in the build's dtype; the
+    nullity is dim_domain less its rank.
     """
     p, coeffs = curve.p, curve.f.coeffs
-    if len(coeffs) - coeffs.count(0) <= _COORDS_MAX_TERMS:
+    n = len(coeffs) - coeffs.count(0)
+    if n <= _COORDS_MAX_TERMS and math.comb(_top_level(curve) + n - 1, n - 1) <= _COORDS_MAX_FILL:
         shape = (curve.dim_obstruction, curve.dim_domain)
         return coords_rank_nullity(p, obstruction_coords(curve), shape)[1]
     live = obstruction_stack(curve, [coeffs])[..., 0]

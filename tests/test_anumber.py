@@ -466,7 +466,7 @@ class TestObstructionCoords:
         assert_coords_match_dense(make(5, "x^7+4*x^4+4*x^3"))
         assert any(vanished)
 
-    def test_report_takes_the_coordinate_build_for_at_most_three_terms(self, monkeypatch):
+    def test_report_takes_the_coordinate_build_for_sparse_powers(self, monkeypatch):
         # a_number_fast picks the build from f: both sides of the choice,
         # checked against the oracle
         coords, calls = asnum.anumber.obstruction_coords, []
@@ -491,8 +491,30 @@ class TestObstructionCoords:
                     calls.clear()
                     assert report(c, "fast").a == a_number_oracle(c), (p, str(c.f))
                     assert len(calls) == (terms <= 3), (p, str(c.f))
+        # at larger p the powers of a trinomial fill in: (-f)^top can have
+        # comb(top + 2, 2) terms, 496 at p = 31 and 666 at p = 37, d = 40
+        for p, f, takes_coords in (
+            (31, "x^40+x^17+x^5", True),
+            (37, "x^40+x^17+x^5", False),
+            (37, "x^40+x^17", True),
+            (101, "x^5+x^2", True),
+            (101, "x^5", True),
+        ):
+            c = make(p, f)
+            calls.clear()
+            assert report(c, "fast").a == a_number_oracle(c), (p, f)
+            assert len(calls) == takes_coords, (p, f)
 
-    def test_coordinate_count_is_checked_before_expanding(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "entries, what",
+        [
+            # the member's 12 table terms and, after its last level, 13 runs
+            (25, "obstruction coordinate runs"),
+            # the same and its 480 unit coordinates
+            (505, "obstruction coordinates"),
+        ],
+    )
+    def test_coordinate_count_is_checked_before_expanding(self, monkeypatch, entries, what):
         # with np.repeat unavailable in asnum.anumber, the expansion of the
         # unit coordinates fails the test unless the size check comes first
         class NoRepeat:
@@ -503,12 +525,35 @@ class TestObstructionCoords:
                 raise AssertionError("np.repeat called before the size check")
 
         c = BasicCurve.from_poly(5, minimal_family(5, 499)[0])
-        # the member's 480 unit coordinates pass a limit of 479 cells by one
-        monkeypatch.setattr(asnum.numutil, "MAX_CELLS", 479)
+        # the entries, at _COORD_CELLS = 16 cells each, pass the limit by one cell
+        monkeypatch.setattr(asnum.numutil, "MAX_CELLS", 16 * entries - 1)
         monkeypatch.setattr(asnum.anumber, "np", NoRepeat())
-        limit = "obstruction coordinates: 1 x 480 exceeds the limit of 479 "
+        limit = f"{what}: 16 x {entries} exceeds the limit of {16 * entries - 1} "
         with pytest.raises(ValueError, match=limit):
             a_number_fast(c)
+
+    def test_level_sums_count_their_shifted_copies(self, monkeypatch):
+        # the (5, 16) member x^16 + x^14 + x^9 holds 84 entries when its
+        # level 0 adds 4 shifted copies of higher components: those copies
+        # pass the limit by one cell, and without them the a-number is L
+        c = BasicCurve.from_poly(5, minimal_family(5, 16)[0])
+        monkeypatch.setattr(asnum.numutil, "MAX_CELLS", 16 * 88 - 1)
+        with pytest.raises(ValueError, match="obstruction coordinates: 16 x 88 exceeds"):
+            a_number_fast(c)
+        monkeypatch.setattr(asnum.numutil, "MAX_CELLS", 16 * 88)
+        assert a_number_fast(c) == lower_bound_single(5, 16)
+
+    def test_power_terms_are_counted_before_each_product(self, monkeypatch):
+        # (-(1 + x + x^2))^e has 2e + 1 terms mod 13 for e <= 8: before the
+        # eighth product, powers 0 .. 7 hold 64 terms and the product can
+        # make 15 * 3 more; the table stops there, with nothing built past it
+        monkeypatch.setattr(asnum.numutil, "MAX_CELLS", 16 * 109 - 1)
+        with pytest.raises(ValueError, match=r"\(-f\)\^e terms: 16 x 109 exceeds"):
+            _neg_f_power_terms(13, (1, 1, 1), 12)
+        monkeypatch.setattr(asnum.numutil, "MAX_CELLS", 16 * 109)
+        assert [len(e) for e, _ in _neg_f_power_terms(13, (1, 1, 1), 8)] == [
+            1, 3, 5, 7, 9, 11, 13, 15, 17
+        ]
 
     def test_power_terms_match_the_dense_table(self):
         rng = np.random.default_rng(41)

@@ -156,6 +156,21 @@ class TestAnumber:
         assert f"a-number (fast) = {a}\n" in out
         assert a == closed_form
 
+    def test_large_prime_trinomial_is_refused_before_allocating(self, capsys):
+        # the powers of a trinomial at p = 1009 fill in, so the fast path
+        # takes the dense build, whose 501500 x 502497 live block is refused
+        # before the power table or anything else of that size is built
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "anumber", "--p", "1009", "--f", "x^1000+x^2+x")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: obstruction matrix: 501500 x 502497 exceeds the limit of")
+        assert peak < 2**21
+
     def test_huge_exponent_is_refused_before_allocating(self, capsys):
         # x^9999999999 would be a dense list of 10^10 coefficients; the size
         # check comes before it, so the refusal allocates nothing of that size
