@@ -38,8 +38,9 @@ are checked for headroom, and each dense matrix's size against
 numutil.MAX_CELLS, before anything is built.  The same bounds cap every
 value the power table and the obstruction build hold, so both run in the
 narrowest of int16, int32 and int64 that holds them
-(numutil.narrowest_int_dtype) and hand their arrays on in it; only the
-public obstruction_matrix and cartier_matrix are int64.  The tests check
+(numutil.narrowest_int_dtype) and hand their arrays on in it, and so does
+cartier_matrix, in the narrowest dtype that holds (p-1)^2 + p; only the
+public obstruction_matrix is int64.  The tests check
 every column of the obstruction matrix against a lift of one tuple at a
 time in exact FpPoly arithmetic, which builds its own powers and enumerates
 its own basis.
@@ -472,9 +473,14 @@ def cartier_matrix(curve: BasicCurve) -> FpMatrix:
     the genus.  Each (t, i) level block is a strided view of the zero-padded
     (-f)^(i-t), rows p apart and columns reversed, by the closed form in the
     module docstring, copied into place and scaled there by comb(i, t) mod p
-    unless that is 1.  The operator preserves the regular span; the
-    implementation checks this instead of assuming it, on the view's rows
-    past the level's size.  The matrix must stay within numutil.MAX_CELLS.
+    unless that is 1.  A scaled entry stays below (p-1)^2 and _reduce needs
+    p more, so the matrix and its padded windows are in the narrowest
+    integer dtype that holds (p-1)^2 + p (numutil.narrowest_int_dtype):
+    int16 up to p = 181, int32 up to p = 46337.  The FpMatrix holds that
+    array as built, and rank_nullity ranks it in that dtype.  The operator
+    preserves the regular span; the implementation checks this instead of
+    assuming it, on the view's rows past the level's size.  The matrix must
+    stay within numutil.MAX_CELLS.
     """
     check_cells(curve.genus, curve.genus, "Cartier matrix")
     p = curve.p
@@ -483,7 +489,8 @@ def cartier_matrix(curve: BasicCurve) -> FpMatrix:
     if sum(sizes) != curve.genus:
         raise InvariantViolation("regular basis size disagrees with the genus")
     off = np.cumsum([0] + sizes)
-    mat = np.zeros((curve.genus, curve.genus), dtype=np.int64)
+    dtype = narrowest_int_dtype((p - 1) ** 2 + p)
+    mat = np.zeros((curve.genus, curve.genus), dtype=dtype)
     for i in range(p):
         if not sizes[i]:
             continue
@@ -494,7 +501,7 @@ def cartier_matrix(curve: BasicCurve) -> FpMatrix:
             rows = max(sizes[t], (len(g) + sizes[i] - 1) // p)
             # entry (r, j) = g[p(r+1) - 1 - j]: a view of the zero-padded g,
             # rows p apart from p - 1 and columns read backwards
-            pad = np.zeros(p * rows + sizes[i] - 1, dtype=np.int64)
+            pad = np.zeros(p * rows + sizes[i] - 1, dtype=dtype)
             pad[sizes[i] - 1 : sizes[i] - 1 + len(g)] = g[: len(pad) - sizes[i] + 1]
             block = as_strided(
                 pad[p + sizes[i] - 2 :],
@@ -505,7 +512,7 @@ def cartier_matrix(curve: BasicCurve) -> FpMatrix:
                 raise InvariantViolation("Cartier image left the regular span")
             dst = mat[off[t] : off[t + 1], off[i] : off[i + 1]]
             dst[...] = block[: sizes[t]]
-            # the binomial is a unit mod p; products stay below p^2 in int64
+            # the binomial is a unit mod p; products stay below p^2
             scale = math.comb(i, t) % p
             if scale != 1:
                 dst *= scale

@@ -8,10 +8,12 @@ statistical, not exact.
 
 Every sample gets its own generator seeded from (master seed, sample index),
 so tallies are bit-for-bit reproducible and independent of how samples are
-distributed over worker processes.  A survey does not build those
-generators one by one: asnum._seeded mirrors numpy's SeedSequence, PCG64
-and 32-bit Lemire algorithms in numpy integer arithmetic and draws a whole
-chunk of samples at once, bit for bit.  The per-sample generator (_rng_for
+distributed over worker processes.  Only a survey with threads > 1 starts
+a pool, so only that branch imports ProcessPoolExecutor, and with it
+multiprocessing: importing the package loads neither.  A survey does not
+build those generators one by one: asnum._seeded mirrors numpy's
+SeedSequence, PCG64 and 32-bit Lemire algorithms in numpy integer
+arithmetic and draws a whole chunk of samples at once, bit for bit.  The per-sample generator (_rng_for
 and _draw) is its reference, and draws the few rows the batch cannot.
 
 The survey engine, _a_numbers, works on chunks: (N, d+1) arrays of
@@ -34,7 +36,6 @@ import json
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -343,6 +344,9 @@ def distribution(
             (p, d, seed, lo, min(lo + per_job, n_samples))
             for lo in range(0, n_samples, per_job)
         ]
+        # imported here: it loads multiprocessing, which no other path needs
+        from concurrent.futures import ProcessPoolExecutor
+
         counts = Counter()
         with ProcessPoolExecutor(max_workers=threads) as pool:
             for part in pool.map(_tally_range, jobs):

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over F_p, backed by numpy int64 arrays.
+"""Exact dense linear algebra over F_p, backed by numpy integer arrays.
 
 One forward Gaussian elimination with first-nonzero pivoting gives the rank
 as its pivot count.  The matrices in this package stay at most a few thousand
@@ -69,9 +69,9 @@ class FpMatrix:
         """Wrap a 2-D integer array of residues mod a prime p as is: no check,
         no copy.
 
-        For the package's own builds, whose output is already reduced;
-        rank_nullity copies the values into its int64 core, so a narrow
-        dtype serves it as well.
+        For the package's own builds, whose output is already reduced and
+        may be in a narrow dtype; rank_nullity makes its core dense in the
+        dtype of these values, and _echelon picks its own.
         """
         m = cls.__new__(cls)
         m.p, m.a = p, a
@@ -255,8 +255,11 @@ def rank_nullity(m: FpMatrix) -> tuple[int, int]:
     """
     # np.nonzero on a 2-D int64 array is several times slower
     flat = np.flatnonzero(m.a != 0)
+    v = m.a.ravel()[flat]
     r, c = np.divmod(flat, m.cols)
-    return coords_rank_nullity(m.p, (r, c, m.a.ravel()[flat]), m.a.shape)
+    # the indices are not needed again; free them before the peel
+    del flat
+    return coords_rank_nullity(m.p, (r, c, v), m.a.shape)
 
 
 def coords_rank_nullity(p: int, coords, shape) -> tuple[int, int]:
@@ -265,8 +268,9 @@ def coords_rank_nullity(p: int, coords, shape) -> tuple[int, int]:
     ``coords`` is (rows, cols, values): distinct coordinates, each with a
     nonzero residue mod p, of a matrix of the given shape.  Checks int64
     headroom first, whatever the zero pattern, peels (_peel), and makes only
-    the core dense, within numutil.MAX_CELLS, for _echelon: the work follows
-    the nonzeros and the core, never the full shape.  When the peel leaves
+    the core dense, within numutil.MAX_CELLS and in the dtype of the values,
+    for _echelon: the work follows the nonzeros and the core, never the full
+    shape, and a narrow build is never widened.  When the peel leaves
     no coordinate, as for almost every family member, the peeled pivots are
     the rank and nothing is made dense.
     """
@@ -282,7 +286,7 @@ def coords_rank_nullity(p: int, coords, shape) -> tuple[int, int]:
     row_at, col_at = np.cumsum(live_rows) - 1, np.cumsum(live_cols) - 1
     size = (np.count_nonzero(live_rows), np.count_nonzero(live_cols))
     check_cells(*size, "elimination core")
-    core = np.zeros(size, dtype=np.int64)
+    core = np.zeros(size, dtype=v.dtype)
     core[row_at[live_r], col_at[live_c]] = v[live_rows[r] & live_cols[c]]
     rank = peeled + _echelon(core, p)
     return rank, shape[1] - rank

@@ -742,6 +742,48 @@ class TestANumbers:
             tracemalloc.stop()
         assert peak < 1.8 * m.a.nbytes
 
+    def test_oracle_report_peak_stays_below_an_int64_matrix(self):
+        # the Cartier matrix is built and ranked in int16 at p = 5: the whole
+        # oracle report peaks below the bytes of one int64 genus x genus matrix
+        c = random_curve(5, 499, np.random.default_rng(17))
+        assert cartier_matrix(c).a.dtype == np.int16
+        report(c, "oracle")
+        tracemalloc.start()
+        try:
+            report(c, "oracle")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * c.genus**2
+
+    @pytest.mark.parametrize("p, dtype", [(181, np.int16), (191, np.int32)])
+    def test_cartier_build_dtype_edges(self, p, dtype):
+        # 180^2 + 181 is the last bound int16 holds, 190^2 + 191 needs int32:
+        # the values equal an int64 reference from FpPoly powers and the
+        # closed form of the module docstring, entry by entry
+        rng = np.random.default_rng(p)
+        for d in (3, 4, 6):
+            c = random_curve(p, d, rng)
+            sizes = [max(b + 1, 0) for b in c.reg_bound]
+            starts = np.cumsum([0] + sizes).tolist()
+            powers = [FpPoly.one(p)]
+            for _ in range(1, p):
+                powers.append(powers[-1] * -c.f)
+            want = np.zeros((c.genus, c.genus), dtype=np.int64)
+            for i in range(p):
+                for t in range(i + 1):
+                    g = powers[i - t].coeffs
+                    scale = math.comb(i, t)
+                    for r in range(sizes[t]):
+                        for j in range(sizes[i]):
+                            e = p * (r + 1) - 1 - j
+                            if 0 <= e < len(g):
+                                want[starts[t] + r, starts[i] + j] = scale * g[e] % p
+            m = cartier_matrix(c).a
+            assert m.dtype == dtype
+            assert np.array_equal(m, want), (p, str(c.f))
+            assert report(c, "oracle").a == report(c, "fast").a, (p, str(c.f))
+
     def test_methods_agree_on_random_curves(self):
         rng = np.random.default_rng(37)
         for p in (2, 3, 5, 7):

@@ -1,7 +1,10 @@
 """Sampling, distributions, reproducibility, exhaustive and random search."""
 
+import concurrent.futures
 import json
 import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -64,7 +67,9 @@ def fake_pool(monkeypatch, jobs=None):
                 jobs.extend(args)
             return map(fn, args)
 
-    monkeypatch.setattr(asnum.experiments, "ProcessPoolExecutor", InProcessPool)
+    # distribution imports the pool class when it needs it, so the fixture
+    # replaces it where that import reads it
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return recorded
 
 
@@ -166,6 +171,23 @@ class TestDistribution:
         calls.clear()
         distribution(3, 8, 300, seed=9, threads=2)
         assert len(jobs) > 1 and calls == [(3, 8)] * (1 + len(jobs))
+
+    def test_import_loads_no_multiprocessing(self):
+        # only a survey with a worker pool loads it; a serial survey does not
+        src = os.path.dirname(os.path.dirname(asnum.experiments.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, asnum; asnum.distribution(3, 17, 100, 1); "
+            "print('multiprocessing' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
 
     def test_validation(self):
         with pytest.raises(ValueError):
